@@ -236,39 +236,8 @@ fn bench_incremental_vs_epoch(c: &mut Criterion) {
     let epoch_ev = ndlog::Evaluator::new(&failed_prog).unwrap();
     g.bench_function("epoch_recompute", |b| {
         b.iter(|| {
-            let mut db = ndlog::Evaluator::base_database(&failed_prog);
+            let mut db = epoch_ev.base_database(&failed_prog);
             let stats = epoch_ev.run(&mut db).unwrap();
-            black_box(stats.derivations)
-        })
-    });
-    // The id-native epoch baseline (`run_interned`): same algorithm and
-    // byte-identical statistics as `epoch_recompute`, but joins probe
-    // `RelId`-indexed stores and derived tuples are shared handles — the
-    // interning-tax cut the oracle backend now rides on.  Bench notes: on
-    // the reference box the interned baseline holds or improves on the
-    // name-keyed one (the tuple-copy saving dominates path-vector
-    // workloads whose tuples carry whole path lists); the stats equality
-    // below pins that it is the *same* fixpoint, so the comparison is
-    // apples to apples.
-    {
-        let mut named = ndlog::Evaluator::base_database(&failed_prog);
-        let named_stats = epoch_ev.run(&mut named).unwrap();
-        let mut interned = epoch_ev.base_database_interned(&failed_prog);
-        let interned_stats = epoch_ev.run_interned(&mut interned).unwrap();
-        assert_eq!(
-            named_stats, interned_stats,
-            "interned epoch baseline diverges from the name-keyed evaluator"
-        );
-        assert_eq!(
-            named,
-            interned.to_named(epoch_ev.symbols()),
-            "interned epoch database diverges from the name-keyed evaluator"
-        );
-    }
-    g.bench_function("epoch_recompute_interned", |b| {
-        b.iter(|| {
-            let mut db = epoch_ev.base_database_interned(&failed_prog);
-            let stats = epoch_ev.run_interned(&mut db).unwrap();
             black_box(stats.derivations)
         })
     });
@@ -276,7 +245,7 @@ fn bench_incremental_vs_epoch(c: &mut Criterion) {
 }
 
 /// EXP-10: shard-scaling — the reachability fixpoint on a 200-node random
-/// connected topology, evaluated by [`ndlog::sharded::ShardedEngine`] at
+/// connected topology, evaluated by a sharded [`ndlog::Session`] at
 /// 1/2/4/8 shards (see DESIGN.md §3 and §7).
 ///
 /// Results are byte-identical at every shard count (asserted below); the
@@ -312,8 +281,9 @@ fn bench_shard_scaling(c: &mut Criterion) {
     let mut per_shard = [0usize; 4];
     let storage = four.storage().expect("incremental backend");
     let router = four.router().expect("sharded session");
-    for t in storage.visible("reachable") {
-        per_shard[router.shard_of("reachable", t)] += 1;
+    let reachable = storage.symbols().lookup("reachable").expect("interned");
+    for t in storage.visible_id(reachable) {
+        per_shard[router.shard_of_id(reachable, t)] += 1;
     }
     let total: usize = per_shard.iter().sum();
     let max = per_shard.iter().copied().max().unwrap_or(0).max(1);
@@ -438,14 +408,12 @@ fn bench_batch_window(c: &mut Criterion) {
 /// maintenance on a warm 30-node path-vector store and **asserts, via the
 /// counting global allocator, that the interned forms perform zero heap
 /// allocations per operation** — no per-firing `String`, no owned `Tuple`
-/// clone.  The name-keyed compat wrappers are measured alongside as the
-/// pre-refactor baseline shape (they add the symbol-table probe the old
-/// `BTreeMap<String, _>` layout paid on every call).
+/// clone.
 ///
-/// Reference numbers (1-core CI box, this PR): interned probe ~0.9 us/op
-/// vs name-keyed ~1.0 us/op with 0 allocs either way once the result
-/// buffer is reused; support updates 0 allocs; engine clone ~3x cheaper
-/// than pre-refactor (shared tuple handles instead of deep path copies).
+/// Reference numbers (1-core CI box): interned probe ~0.9 us/op with 0
+/// allocs once the result buffer is reused; support updates 0 allocs;
+/// engine clone ~3x cheaper than the former deep-copy layout (shared tuple
+/// handles instead of deep path copies).
 fn bench_interned_hot_path(c: &mut Criterion) {
     use ndlog::incremental::IncrementalEngine;
     use ndlog::value::SharedTuple;
@@ -517,7 +485,7 @@ fn bench_interned_hot_path(c: &mut Criterion) {
     );
     println!("exp11: 10000 warm support-update cycles -> {allocs} allocs / {bytes} bytes");
 
-    // --- wall clock: interned vs name-keyed probe shapes ------------------
+    // --- wall clock: probe and clone -------------------------------------
     let mut g = c.benchmark_group("exp11_hot_path");
     g.bench_function("join_probe_interned", |b| {
         let mut buf: Vec<&SharedTuple> = Vec::with_capacity(1024);
@@ -527,15 +495,6 @@ fn bench_interned_hot_path(c: &mut Criterion) {
                 buf.clear();
                 storage.matches_adjusted_id_into(path, &[0], key, None, &mut buf);
                 n += buf.len();
-            }
-            black_box(n)
-        })
-    });
-    g.bench_function("join_probe_name_keyed", |b| {
-        b.iter(|| {
-            let mut n = 0usize;
-            for key in &keys {
-                n += storage.matches_adjusted("path", &[0], key, None).len();
             }
             black_box(n)
         })
@@ -966,8 +925,8 @@ fn bench_point_query(c: &mut Criterion) {
     let ev = Evaluator::new(&prog).expect("reachability analyzes");
     let full_once = || {
         let t = Instant::now();
-        let mut db = ev.base_database_interned(&prog);
-        let stats = ev.run_interned(&mut db).expect("full evaluation");
+        let mut db = ev.base_database(&prog);
+        let stats = ev.run(&mut db).expect("full evaluation");
         (t.elapsed(), stats.derivations)
     };
     let demand_once = |per_query: &mut [Duration]| {
@@ -1024,8 +983,8 @@ fn bench_point_query(c: &mut Criterion) {
     });
     g.bench_function("full_materialization", |b| {
         b.iter(|| {
-            let mut db = ev.base_database_interned(&prog);
-            ev.run_interned(&mut db).expect("full evaluation");
+            let mut db = ev.base_database(&prog);
+            ev.run(&mut db).expect("full evaluation");
             black_box(db.total())
         })
     });

@@ -20,7 +20,7 @@
 use crate::translate::{literal_to_formula, TranslateError};
 use fvn_logic::{Clause, Def, Formula, Theory};
 use ndlog::ast::{Atom, Head, HeadArg, Literal, Program, Rule, Term};
-use ndlog::eval::Database;
+use ndlog::eval::IdDatabase;
 use ndlog::Value;
 use std::collections::BTreeMap;
 
@@ -236,21 +236,6 @@ pub fn eval_dataflow(
     // (push-based) evaluation, not global fixpoint evaluation.
     let mut outs: BTreeMap<String, Vec<Vec<Value>>> = BTreeMap::new();
     for c in &model.components {
-        let mut db = Database::new();
-        for w in &c.inputs {
-            match w {
-                Wire::External(_) => {
-                    for t in inputs.get(&c.name).cloned().unwrap_or_default() {
-                        db.insert(format!("{}_in", c.name), t);
-                    }
-                }
-                Wire::From(up, _) => {
-                    for t in outs.get(up).cloned().unwrap_or_default() {
-                        db.insert(format!("{up}_out"), t);
-                    }
-                }
-            }
-        }
         // Build a one-rule program for this component and evaluate it.
         let mut prog = Program::default();
         let single = Composite {
@@ -259,15 +244,29 @@ pub fn eval_dataflow(
         };
         prog.rules = to_ndlog(&single).rules;
         let ev = ndlog::Evaluator::new(&prog)?;
-        let mut scratch = db;
-        ev.run(&mut scratch)?;
-        outs.insert(
-            c.name.clone(),
-            scratch
-                .relation(&format!("{}_out", c.name))
-                .cloned()
-                .collect(),
-        );
+        let symbols = ev.symbols();
+        let mut db = IdDatabase::new();
+        // Input relations the rule never reads are not interned; their
+        // tuples could not contribute anyway.
+        let mut feed = |pred: String, tuples: Option<&Vec<Vec<Value>>>| {
+            if let Some(rel) = symbols.lookup(&pred) {
+                for t in tuples.into_iter().flatten() {
+                    db.insert(rel, t.clone().into());
+                }
+            }
+        };
+        for w in &c.inputs {
+            match w {
+                Wire::External(_) => feed(format!("{}_in", c.name), inputs.get(&c.name)),
+                Wire::From(up, _) => feed(format!("{up}_out"), outs.get(up)),
+            }
+        }
+        ev.run(&mut db)?;
+        let out = symbols
+            .lookup(&format!("{}_out", c.name))
+            .map(|rel| db.relation(rel).map(|t| t.to_tuple()).collect())
+            .unwrap_or_default();
+        outs.insert(c.name.clone(), out);
     }
     Ok(outs)
 }

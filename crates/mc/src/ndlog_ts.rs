@@ -16,7 +16,6 @@ use crate::ts::TransitionSystem;
 use ndlog::ast::Program;
 use ndlog::eval::{derive_rule_id, Database, Evaluator, IdDatabase};
 use ndlog::incremental::{IncrementalEngine, RelDelta};
-use ndlog::safety::analyze;
 use ndlog::symbols::{RelId, Symbols};
 use ndlog::update::{lower_updates, Session, Update};
 use ndlog::value::display_tuple;
@@ -86,7 +85,8 @@ impl NdlogTs {
     /// stratified semantics has no per-tuple firing order (the paper's
     /// linear-logic extension targets plain rules, and so do we).
     pub fn new(prog: &Program) -> Result<Self> {
-        let analysis = analyze(prog)?;
+        let ev = Evaluator::new(prog)?;
+        let analysis = ev.analysis();
         for r in &analysis.rules {
             if r.head.has_agg() {
                 return Err(NdlogError::Eval {
@@ -97,27 +97,23 @@ impl NdlogTs {
                 });
             }
         }
-        let mut symbols = analysis.symbols;
+        let symbols = Arc::new(analysis.symbols.clone());
         let heads = analysis
             .rules
             .iter()
-            .map(|r| symbols.intern(&r.head.pred))
+            .map(|r| {
+                symbols
+                    .lookup(&r.head.pred)
+                    .expect("program predicates are interned at analysis")
+            })
             .collect();
-        // Intern the start database once; successors then clone and insert
-        // shared tuples only.  Pre-sizing keeps content-equal states
+        // The start database is interned once; successors then clone and
+        // insert shared tuples only.  Pre-sizing keeps content-equal states
         // structurally equal regardless of which relation fired first.
-        let mut db = IdDatabase::new();
-        let base = Evaluator::base_database(prog);
-        for pred in base.relations() {
-            let rel = symbols.intern(pred);
-            for t in base.relation(pred) {
-                db.insert(rel, t.clone().into());
-            }
-        }
+        let mut db = ev.base_database(prog);
         db.reserve_rels(symbols.len());
-        let symbols = Arc::new(symbols);
         Ok(NdlogTs {
-            rules: analysis.rules,
+            rules: analysis.rules.clone(),
             heads,
             symbols: symbols.clone(),
             start: FiringState { db, symbols },

@@ -277,9 +277,9 @@ mod tests {
             },
         )
         .unwrap();
-        let mut db = Evaluator::base_database(&gp.program);
+        let mut db = ev.base_database(&gp.program);
         ev.run(&mut db).unwrap();
-        db
+        db.to_named(ev.symbols())
     }
 
     fn check_against_enumeration(spec: &AlgebraSpec, topo: &Topology, labels: &EdgeLabels) {

@@ -7,8 +7,8 @@
 //! native-operator layer the ROADMAP asks for, in the style of Cozo's
 //! `AlgoImpl`: a pluggable [`AlgoOp`] trait over [`RelationStorage`]
 //! snapshots plus concrete operators for BFS reachability
-//! ([`BfsReachability`]), cost-ordered simple-path enumeration
-//! ([`DijkstraPaths`]) and k-shortest paths ([`KShortestPaths`]).
+//! ([`BfsReachability`]) and cost-ordered simple-path enumeration
+//! ([`DijkstraPaths`]).
 //!
 //! The contract that makes native execution *maintenance-safe* is that an
 //! operator does not just produce the right tuple **set** — it produces
@@ -984,105 +984,6 @@ impl AlgoOp for DijkstraPaths {
     }
 }
 
-// ---------------------------------------------------------------------------
-// K-shortest paths
-// ---------------------------------------------------------------------------
-
-/// K cheapest loop-free paths per `(src, dst)` pair.
-///
-/// A standalone operator on the [`AlgoOp`] surface (no recursion shape
-/// produces exactly this relation, so the recognizer never wires it in):
-/// callers materialize the output into their own relation, e.g. for
-/// equal-cost multipath analysis.  Output tuples are
-/// `(src, dst, path-vector, cost)` with firing count 1, cost-ordered per
-/// pair by the same heap that drives [`DijkstraPaths`].
-pub struct KShortestPaths {
-    edge: RelId,
-    output: RelId,
-    k: usize,
-}
-
-impl KShortestPaths {
-    /// Paths over `edge` (arity-3 `(src, dst, cost)`), best `k` per pair,
-    /// reported as tuples of `output`.
-    pub fn new(edge: RelId, output: RelId, k: usize) -> Self {
-        KShortestPaths { edge, output, k }
-    }
-}
-
-impl AlgoOp for KShortestPaths {
-    fn name(&self) -> &'static str {
-        "k_shortest_paths"
-    }
-
-    fn inputs(&self) -> Vec<RelId> {
-        vec![self.edge]
-    }
-
-    fn output(&self) -> RelId {
-        self.output
-    }
-
-    fn run(&self, store: &RelationStorage) -> Result<Vec<(SharedTuple, i64)>> {
-        let mut g = DenseGraph::new();
-        let mut links: Vec<(u32, u32, i64)> = Vec::new();
-        for t in store.visible_id(self.edge) {
-            if t.len() != 3 {
-                return Err(NdlogError::Eval {
-                    msg: "k_shortest_paths: edge relation must be (src, dst, cost)".into(),
-                });
-            }
-            let Value::Int(c) = t[2] else {
-                return Err(NdlogError::Eval {
-                    msg: "k_shortest_paths: non-integer link cost".into(),
-                });
-            };
-            let (a, b) = (g.intern(&t[0]), g.intern(&t[1]));
-            links.push((a, b, c));
-        }
-        let n = g.len();
-        let mut adj: Vec<Vec<(u32, i64)>> = vec![Vec::new(); n];
-        for &(a, b, c) in &links {
-            adj[a as usize].push((b, c));
-        }
-        let mut per_pair: BTreeMap<(u32, u32), usize> = BTreeMap::new();
-        let mut heap: BinaryHeap<PathState> = BinaryHeap::new();
-        let mut seen: BTreeSet<(Vec<u32>, i64)> = BTreeSet::new();
-        for &(a, b, c) in &links {
-            heap.push(std::cmp::Reverse((c, vec![a, b])));
-        }
-        let mut out = Vec::new();
-        while let Some(std::cmp::Reverse((cost, nodes))) = heap.pop() {
-            if !seen.insert((nodes.clone(), cost)) {
-                continue;
-            }
-            let (src, dst) = (nodes[0], *nodes.last().unwrap());
-            let taken = per_pair.entry((src, dst)).or_insert(0);
-            if *taken < self.k {
-                *taken += 1;
-                let path: Vec<Value> = nodes.iter().map(|&i| g.nodes[i as usize].clone()).collect();
-                let tuple: Vec<Value> = vec![
-                    g.nodes[src as usize].clone(),
-                    g.nodes[dst as usize].clone(),
-                    Value::List(path),
-                    Value::Int(cost),
-                ];
-                out.push((tuple.into(), 1));
-            }
-            let last = *nodes.last().unwrap();
-            for &(next, c) in &adj[last as usize] {
-                if nodes.contains(&next) {
-                    continue;
-                }
-                let mut ext = nodes.clone();
-                ext.push(next);
-                heap.push(std::cmp::Reverse((cost + c, ext)));
-            }
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1181,29 +1082,5 @@ mod tests {
             panic!("expected LinearTc");
         };
         assert_eq!(spec.base.consts, vec![(2, Value::Int(1))]);
-    }
-
-    #[test]
-    fn k_shortest_reports_cost_ordered_loop_free_paths() {
-        let mut store = RelationStorage::new();
-        let link = store.rel_id("link");
-        let out_rel = store.rel_id("kbest");
-        let edges = [(0u32, 1u32, 1i64), (1, 2, 1), (0, 2, 5), (2, 0, 1)];
-        for (a, b, c) in edges {
-            store.add_edb_id(link, &[Value::Addr(a), Value::Addr(b), Value::Int(c)], 1);
-        }
-        let op = KShortestPaths::new(link, out_rel, 2);
-        assert_eq!(op.output(), out_rel);
-        let out = op.run(&store).unwrap();
-        // 0 -> 2: the 2-hop path (cost 2) then the direct link (cost 5).
-        let zero_two: Vec<i64> = out
-            .iter()
-            .filter(|(t, _)| t[0] == Value::Addr(0) && t[1] == Value::Addr(2))
-            .map(|(t, _)| match t[3] {
-                Value::Int(c) => c,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(zero_two, vec![2, 5]);
     }
 }

@@ -1,9 +1,18 @@
-//! Centralized NDlog evaluation.
+//! Centralized NDlog evaluation: the one evaluation kernel.
 //!
-//! Implements stratified bottom-up evaluation with both a reference *naive*
-//! iterator and the production *semi-naive* engine (delta-driven).  The two
-//! are kept semantically identical — a property-based test in this module and
+//! [`Evaluator::run`] is stratified bottom-up *semi-naive* (delta-driven)
+//! evaluation over an interned [`IdDatabase`]: relations are dense
+//! [`RelId`]s from the analysis's [`Symbols`] table and tuples are shared
+//! handles.  Every from-scratch path runs this one loop — [`eval_program`],
+//! the `Session::oracle()` backend, and the magic-set plans behind
+//! `Session::query` — so the semantics the differential harnesses check is
+//! the semantics that runs.  [`Evaluator::run_naive`] is the reference
+//! *naive* iterator over the same store; a property test in this module and
 //! in `tests/` checks `naive ≡ semi-naive` on randomized programs.
+//!
+//! [`Database`] is only the name-keyed *rendering* of a result
+//! ([`IdDatabase::to_named`], `RelationStorage::to_database`) for tests,
+//! goldens and external readers; nothing evaluates over it.
 //!
 //! Aggregates (`min`/`max`/`count`/`sum`) are evaluated at the start of their
 //! stratum, which is sound because stratification forces their rule bodies to
@@ -13,13 +22,14 @@ use crate::ast::*;
 use crate::builtins::eval_builtin;
 use crate::error::{NdlogError, Result};
 use crate::safety::{analyze, Analysis};
-use crate::sharded::{fan_out, ShardRouter};
 use crate::symbols::{RelId, Symbols};
 use crate::value::{SharedTuple, Tuple, Value};
 use fvn_telemetry::{Counter, Histogram, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A deterministic in-memory database: relation name → set of tuples.
+/// A deterministic name-keyed rendering of an evaluation result: relation
+/// name → set of tuples.  Built by [`IdDatabase::to_named`] and
+/// `RelationStorage::to_database`; evaluation itself never reads it.
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Database {
     rels: BTreeMap<String, BTreeSet<Tuple>>,
@@ -34,16 +44,6 @@ impl Database {
     /// Insert a tuple; returns true if it was new.
     pub fn insert(&mut self, pred: impl Into<String>, tuple: Tuple) -> bool {
         self.rels.entry(pred.into()).or_default().insert(tuple)
-    }
-
-    /// Remove a tuple; returns true if it was present.  Takes any borrowed
-    /// slice so interned handles can probe without materializing an owned
-    /// tuple.
-    pub fn remove(&mut self, pred: &str, tuple: &[Value]) -> bool {
-        self.rels
-            .get_mut(pred)
-            .map(|s| s.remove(tuple))
-            .unwrap_or(false)
     }
 
     /// Tuples of a relation (empty slice view if absent).
@@ -85,17 +85,15 @@ impl Database {
     }
 }
 
-/// The interned twin of [`Database`]: dense [`RelId`] → set of
-/// [`SharedTuple`]s, `Vec`-indexed by id.
+/// The evaluation store: dense [`RelId`] → set of [`SharedTuple`]s,
+/// `Vec`-indexed by id.
 ///
-/// [`Evaluator::run_interned`] evaluates over this store so from-scratch
-/// oracle runs (the differential baseline behind
-/// [`crate::update::SessionBuilder::oracle`] and the epoch side of EXP-9)
-/// stop paying the `String`-key compare and deep-tuple-copy tax of the
-/// name-keyed reference path.  Ids must come from the evaluator's own
-/// [`Symbols`] table ([`Evaluator::symbols`]); `analyze` interns every
-/// program predicate in sorted name order, so id order coincides with name
-/// order and [`to_named`](IdDatabase::to_named) round-trips byte-identical.
+/// [`Evaluator::run`] evaluates over this store, so joins never compare a
+/// `String` key and derived tuples are shared handles, not deep copies.
+/// Ids must come from the evaluator's own [`Symbols`] table
+/// ([`Evaluator::symbols`]); `analyze` interns every program predicate in
+/// sorted name order, so id order coincides with name order and
+/// [`to_named`](IdDatabase::to_named) renders byte-identical output.
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct IdDatabase {
     rels: Vec<BTreeSet<SharedTuple>>,
@@ -166,8 +164,8 @@ impl IdDatabase {
         self.rels.len()
     }
 
-    /// Render a name-keyed [`Database`] view (boundary use only — tests,
-    /// snapshots; the hot path stays id-native).
+    /// Render the name-keyed [`Database`] view (boundary use only — tests,
+    /// snapshots, external readers; evaluation stays id-native).
     pub fn to_named(&self, symbols: &Symbols) -> Database {
         let mut db = Database::new();
         for (i, ts) in self.rels.iter().enumerate() {
@@ -298,82 +296,8 @@ pub(crate) fn instantiate_head(head: &Head, env: &Env) -> Result<Tuple> {
 
 /// Evaluate the body of a rule over `db`, optionally restricting the
 /// positive-atom occurrence at body index `delta_at` to tuples in `delta`.
-/// Calls `sink` with each complete environment.
-fn eval_body(
-    body: &[Literal],
-    idx: usize,
-    db: &Database,
-    delta_at: Option<usize>,
-    delta: Option<&Database>,
-    env: &Env,
-    sink: &mut dyn FnMut(&Env) -> Result<()>,
-) -> Result<()> {
-    if idx == body.len() {
-        return sink(env);
-    }
-    match &body[idx] {
-        Literal::Pos(atom) => {
-            let use_delta = delta_at == Some(idx);
-            let iter: Box<dyn Iterator<Item = &Tuple>> = if use_delta {
-                Box::new(delta.expect("delta db").relation(&atom.pred))
-            } else {
-                Box::new(db.relation(&atom.pred))
-            };
-            for tuple in iter {
-                if !atom_matches_bound(atom, tuple, env) {
-                    continue;
-                }
-                let mut env2 = env.clone();
-                if match_atom(atom, tuple, &mut env2) {
-                    eval_body(body, idx + 1, db, delta_at, delta, &env2, sink)?;
-                }
-            }
-            Ok(())
-        }
-        Literal::Neg(atom) => {
-            // All variables are bound (safety); build the ground tuple.
-            let mut probe = Vec::with_capacity(atom.args.len());
-            for t in &atom.args {
-                match t {
-                    Term::Const(c) => probe.push(c.clone()),
-                    Term::Var(v) => {
-                        probe.push(env.get(v).cloned().ok_or_else(|| NdlogError::Eval {
-                            msg: format!("unbound var {v} in negation"),
-                        })?)
-                    }
-                }
-            }
-            if !db.contains(&atom.pred, &probe) {
-                eval_body(body, idx + 1, db, delta_at, delta, env, sink)?;
-            }
-            Ok(())
-        }
-        Literal::Assign(v, e) => {
-            let val = eval_expr(e, env)?;
-            match env.get(v) {
-                Some(bound) if *bound != val => Ok(()), // equality check fails
-                Some(_) => eval_body(body, idx + 1, db, delta_at, delta, env, sink),
-                None => {
-                    let mut env2 = env.clone();
-                    env2.insert(v.clone(), val);
-                    eval_body(body, idx + 1, db, delta_at, delta, &env2, sink)
-                }
-            }
-        }
-        Literal::Cmp(a, op, b) => {
-            let va = eval_expr(a, env)?;
-            let vb = eval_expr(b, env)?;
-            if op.eval(&va, &vb) {
-                eval_body(body, idx + 1, db, delta_at, delta, env, sink)?;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// The id-native twin of [`eval_body`]: identical control flow, but atom
-/// predicates are resolved through `rels` (aligned to `body`, `Some` exactly
-/// at atom literals) and relations are probed in an [`IdDatabase`].
+/// Atom predicates are resolved through `rels` (aligned to `body`, `Some`
+/// exactly at atom literals).  Calls `sink` with each complete environment.
 #[allow(clippy::too_many_arguments)]
 fn eval_body_id(
     body: &[Literal],
@@ -481,9 +405,9 @@ pub struct EvalStats {
 
 /// The single derivation-counting entry point.
 ///
-/// Every rule-firing site in this module — aggregate evaluation, the
-/// sharded seed pass, the semi-naive iteration workers, and the naive
-/// reference loop — reports here, keeping the local count (merged into
+/// Every rule-firing site — aggregate evaluation, the semi-naive seed pass
+/// and rounds, the naive reference loop, and the incremental engine's
+/// sharded workers — reports here, keeping the local count (merged into
 /// [`EvalStats::derivations`]) and the telemetry sink in lock step.  The
 /// sink is an atomic, so sharded workers feed it concurrently; the sum is
 /// order-insensitive and therefore identical at every shard count.
@@ -519,75 +443,6 @@ impl EvalMetrics {
     }
 }
 
-/// Evaluate an aggregate rule whose body refers only to lower strata.
-fn eval_agg_rule(
-    rule: &Rule,
-    db: &mut Database,
-    stats: &mut EvalStats,
-    deriv_sink: &Counter,
-) -> Result<()> {
-    // Group-by key → one accumulator vector per aggregate position.
-    let n_aggs = rule
-        .head
-        .args
-        .iter()
-        .filter(|a| matches!(a, HeadArg::Agg(..)))
-        .count();
-    let mut groups: BTreeMap<Tuple, Vec<Vec<Value>>> = BTreeMap::new();
-    let head = &rule.head;
-    let mut sink = |env: &Env| -> Result<()> {
-        let mut key = Vec::new();
-        let mut aggs = Vec::with_capacity(n_aggs);
-        for a in &head.args {
-            match a {
-                HeadArg::Term(Term::Const(c)) => key.push(c.clone()),
-                HeadArg::Term(Term::Var(v)) => {
-                    key.push(env.get(v).cloned().ok_or_else(|| NdlogError::Eval {
-                        msg: format!("unbound head var {v}"),
-                    })?)
-                }
-                HeadArg::Agg(_, v) => {
-                    aggs.push(env.get(v).cloned().ok_or_else(|| NdlogError::Eval {
-                        msg: format!("unbound aggregate var {v}"),
-                    })?)
-                }
-            }
-        }
-        let acc = groups
-            .entry(key)
-            .or_insert_with(|| vec![Vec::new(); n_aggs]);
-        for (slot, v) in acc.iter_mut().zip(aggs) {
-            slot.push(v);
-        }
-        Ok(())
-    };
-    eval_body(&rule.body, 0, db, None, None, &Env::new(), &mut sink)?;
-
-    for (key, accs) in groups {
-        // Rebuild the head tuple: keys in order, aggregates computed per slot.
-        let mut ki = 0usize;
-        let mut ai = 0usize;
-        let mut out = Vec::with_capacity(head.args.len());
-        for a in &head.args {
-            match a {
-                HeadArg::Term(_) => {
-                    out.push(key[ki].clone());
-                    ki += 1;
-                }
-                HeadArg::Agg(func, _) => {
-                    out.push(aggregate(*func, &accs[ai])?);
-                    ai += 1;
-                }
-            }
-        }
-        count_derivation(&mut stats.derivations, deriv_sink);
-        if db.insert(head.pred.clone(), out) {
-            stats.new_tuples += 1;
-        }
-    }
-    Ok(())
-}
-
 pub(crate) fn aggregate(func: AggFunc, values: &[Value]) -> Result<Value> {
     if values.is_empty() {
         return Err(NdlogError::Eval {
@@ -614,7 +469,7 @@ pub(crate) fn aggregate(func: AggFunc, values: &[Value]) -> Result<Value> {
 }
 
 /// A rule with its atom predicates resolved to dense ids once per run —
-/// the per-rule compile step of the interned evaluation path.
+/// the per-rule compile step of the kernel.
 struct IdRule<'a> {
     rule: &'a Rule,
     head: RelId,
@@ -645,7 +500,7 @@ fn compile_id_rules<'a>(rules: &[&'a Rule], symbols: &Symbols) -> Vec<IdRule<'a>
         .collect()
 }
 
-/// The id-native twin of [`eval_agg_rule`], grouping into an [`IdDatabase`].
+/// Evaluate an aggregate rule whose body refers only to lower strata.
 fn eval_agg_rule_id(
     rule: &IdRule<'_>,
     db: &mut IdDatabase,
@@ -762,207 +617,15 @@ impl Evaluator {
         &self.analysis
     }
 
-    /// Load the program's ground facts into a database.
-    pub fn base_database(prog: &Program) -> Database {
-        let mut db = Database::new();
-        for f in &prog.facts {
-            let tuple = f.const_tuple().expect("facts are ground (parser-enforced)");
-            db.insert(f.pred.clone(), tuple);
-        }
-        db
-    }
-
-    /// Run semi-naive evaluation to fixpoint over `db`, in place.
-    pub fn run(&self, db: &mut Database) -> Result<EvalStats> {
-        self.run_sharded(db, 1)
-    }
-
-    /// Like [`run`](Self::run), with the per-iteration delta work fanned
-    /// out across `shards` **persistent** worker threads (see
-    /// [`crate::sharded`] and [`crate::pool`]): the pool is spawned once
-    /// with the router and reused by every seed pass, iteration, and
-    /// stratum of this evaluation.
-    ///
-    /// The seed pass partitions rules round-robin; every later iteration
-    /// partitions the delta tuples by the analysis join key.  Workers only
-    /// read the frozen database and their candidate sets union at the
-    /// round barrier, so the resulting database **and** statistics are
-    /// byte-identical to [`run`](Self::run) for every shard count.
-    pub fn run_sharded(&self, db: &mut Database, shards: usize) -> Result<EvalStats> {
-        let router = (shards > 1).then(|| ShardRouter::new(&self.analysis, shards));
-        let mut stats = EvalStats::default();
-        for s in 0..self.analysis.num_strata {
-            self.run_stratum(s, db, router.as_ref(), &mut stats)?;
-        }
-        Ok(stats)
-    }
-
-    /// Evaluate a single stratum to fixpoint.
-    fn run_stratum(
-        &self,
-        s: usize,
-        db: &mut Database,
-        router: Option<&ShardRouter>,
-        stats: &mut EvalStats,
-    ) -> Result<()> {
-        let rules: Vec<&Rule> = self.analysis.rules_in_stratum(s);
-        if rules.is_empty() {
-            return Ok(());
-        }
-        let _span = self.metrics.phase.start_timer();
-        let shards = router.map_or(1, ShardRouter::shards);
-        let (agg_rules, plain_rules): (Vec<&Rule>, Vec<&Rule>) =
-            rules.into_iter().partition(|r| r.head.has_agg());
-
-        // Aggregates first: their bodies only see lower strata (stratification).
-        for r in &agg_rules {
-            eval_agg_rule(r, db, stats, &self.metrics.derivations)?;
-        }
-
-        // Which predicates are recursive within this stratum?
-        let stratum_preds: BTreeSet<&str> = plain_rules
-            .iter()
-            .map(|r| r.head.pred.as_str())
-            .chain(agg_rules.iter().map(|r| r.head.pred.as_str()))
-            .collect();
-
-        // Initial pass (naive over current db) to seed the delta; rules are
-        // partitioned round-robin across the shard workers.
-        let mut delta = Database::new();
-        {
-            let db_ref: &Database = db;
-            let plain_ref = &plain_rules;
-            let deriv_sink = &self.metrics.derivations;
-            let partials = fan_out(router.map(ShardRouter::pool), shards, &|k| {
-                let mut local = Database::new();
-                let mut derivations = 0usize;
-                for r in plain_ref.iter().skip(k).step_by(shards) {
-                    let head = &r.head;
-                    let mut sink = |env: &Env| -> Result<()> {
-                        let t = instantiate_head(head, env)?;
-                        count_derivation(&mut derivations, deriv_sink);
-                        if !db_ref.contains(&head.pred, &t) {
-                            local.insert(head.pred.clone(), t);
-                        }
-                        Ok(())
-                    };
-                    eval_body(&r.body, 0, db_ref, None, None, &Env::new(), &mut sink)?;
-                }
-                Ok((local, derivations))
-            })?;
-            for (local, derivations) in partials {
-                stats.derivations += derivations;
-                delta.absorb(&local);
-            }
-        }
-
-        // Recursive positive occurrences per rule (invariant across rounds).
-        let rec_positions: Vec<(&Rule, Vec<usize>)> = plain_rules
-            .iter()
-            .map(|r| {
-                let ps: Vec<usize> = r
-                    .body
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, l)| match l {
-                        Literal::Pos(a) if stratum_preds.contains(a.pred.as_str()) => Some(i),
-                        _ => None,
-                    })
-                    .collect();
-                (*r, ps)
-            })
-            .filter(|(_, ps)| !ps.is_empty())
-            .collect();
-
-        let mut iter = 0usize;
-        while delta.total() > 0 {
-            iter += 1;
-            stats.iterations += 1;
-            self.metrics.rounds.incr();
-            if iter > self.opts.max_iterations {
-                return Err(NdlogError::Eval {
-                    msg: format!("iteration limit exceeded in stratum {s}"),
-                });
-            }
-            // Absorb delta into db.
-            for p in delta.relations().map(str::to_string).collect::<Vec<_>>() {
-                for t in delta.rels.get(&p).cloned().unwrap_or_default() {
-                    if db.insert(p.clone(), t) {
-                        stats.new_tuples += 1;
-                    }
-                }
-            }
-            if db.total() > self.opts.max_tuples {
-                return Err(NdlogError::Eval {
-                    msg: "tuple limit exceeded".into(),
-                });
-            }
-            // Derive the next delta: substitute each worker's shard of the
-            // delta at each recursive positive occurrence, against the
-            // frozen database; candidate sets union at the barrier.
-            let delta_parts: Vec<Database>;
-            let part_refs: Vec<&Database> = match router {
-                Some(r) if shards > 1 => {
-                    let mut parts = vec![Database::new(); shards];
-                    for p in delta.relations() {
-                        for t in delta.relation(p) {
-                            parts[r.shard_of(p, t)].insert(p.to_string(), t.clone());
-                        }
-                    }
-                    delta_parts = parts;
-                    delta_parts.iter().collect()
-                }
-                _ => vec![&delta],
-            };
-            let db_ref: &Database = db;
-            let rec_ref = &rec_positions;
-            let deriv_sink = &self.metrics.derivations;
-            let partials = fan_out(router.map(ShardRouter::pool), part_refs.len(), &|k| {
-                let mut local = Database::new();
-                let mut derivations = 0usize;
-                for (r, positions) in rec_ref {
-                    let head = &r.head;
-                    for &pos in positions {
-                        let mut sink = |env: &Env| -> Result<()> {
-                            let t = instantiate_head(head, env)?;
-                            count_derivation(&mut derivations, deriv_sink);
-                            if !db_ref.contains(&head.pred, &t) {
-                                local.insert(head.pred.clone(), t);
-                            }
-                            Ok(())
-                        };
-                        eval_body(
-                            &r.body,
-                            0,
-                            db_ref,
-                            Some(pos),
-                            Some(part_refs[k]),
-                            &Env::new(),
-                            &mut sink,
-                        )?;
-                    }
-                }
-                Ok((local, derivations))
-            })?;
-            let mut next = Database::new();
-            for (local, derivations) in partials {
-                stats.derivations += derivations;
-                next.absorb(&local);
-            }
-            delta = next;
-        }
-        Ok(())
-    }
-
     /// The interner shared with the analysis (every program predicate is
     /// resolved, in sorted name order — see [`crate::symbols`]).
     pub fn symbols(&self) -> &Symbols {
         &self.analysis.symbols
     }
 
-    /// Load the program's ground facts into an interned database keyed by
-    /// this evaluator's [`Symbols`] table.
-    pub fn base_database_interned(&self, prog: &Program) -> IdDatabase {
+    /// Load the program's ground facts into a database keyed by this
+    /// evaluator's [`Symbols`] table.
+    pub fn base_database(&self, prog: &Program) -> IdDatabase {
         let mut db = IdDatabase::new();
         for f in &prog.facts {
             let tuple = f.const_tuple().expect("facts are ground (parser-enforced)");
@@ -976,37 +639,36 @@ impl Evaluator {
         db
     }
 
-    /// Run semi-naive evaluation to fixpoint over an interned database —
-    /// the id-native twin of [`run`](Self::run): same algorithm, same
-    /// iteration structure, and byte-identical [`EvalStats`], but joins
-    /// probe `Vec`-indexed [`RelId`] stores and derived tuples are shared
-    /// handles instead of deep copies.  Single-threaded: this is the
-    /// oracle/epoch-baseline path, not the production engine.
-    pub fn run_interned(&self, db: &mut IdDatabase) -> Result<EvalStats> {
+    /// The rules of stratum `s`, compiled and split into aggregate and
+    /// plain rules.
+    fn stratum_rules(&self, s: usize) -> (Vec<IdRule<'_>>, Vec<IdRule<'_>>) {
+        let (agg_rules, plain_rules): (Vec<&Rule>, Vec<&Rule>) = self
+            .analysis
+            .rules_in_stratum(s)
+            .into_iter()
+            .partition(|r| r.head.has_agg());
+        (
+            compile_id_rules(&agg_rules, &self.analysis.symbols),
+            compile_id_rules(&plain_rules, &self.analysis.symbols),
+        )
+    }
+
+    /// Run semi-naive evaluation to fixpoint over `db`, in place.
+    pub fn run(&self, db: &mut IdDatabase) -> Result<EvalStats> {
         let mut stats = EvalStats::default();
         for s in 0..self.analysis.num_strata {
-            self.run_stratum_interned(s, db, &mut stats)?;
+            self.run_stratum(s, db, &mut stats)?;
         }
         Ok(stats)
     }
 
-    /// Evaluate a single stratum to fixpoint over an interned database
-    /// (mirrors [`run_stratum`](Self::run_stratum) at one shard).
-    fn run_stratum_interned(
-        &self,
-        s: usize,
-        db: &mut IdDatabase,
-        stats: &mut EvalStats,
-    ) -> Result<()> {
-        let rules: Vec<&Rule> = self.analysis.rules_in_stratum(s);
-        if rules.is_empty() {
+    /// Evaluate a single stratum to fixpoint.
+    fn run_stratum(&self, s: usize, db: &mut IdDatabase, stats: &mut EvalStats) -> Result<()> {
+        let (agg_rules, plain_rules) = self.stratum_rules(s);
+        if agg_rules.is_empty() && plain_rules.is_empty() {
             return Ok(());
         }
         let _span = self.metrics.phase.start_timer();
-        let (agg_rules, plain_rules): (Vec<&Rule>, Vec<&Rule>) =
-            rules.into_iter().partition(|r| r.head.has_agg());
-        let agg_rules = compile_id_rules(&agg_rules, &self.analysis.symbols);
-        let plain_rules = compile_id_rules(&plain_rules, &self.analysis.symbols);
 
         // Aggregates first: their bodies only see lower strata (stratification).
         for r in &agg_rules {
@@ -1076,17 +738,13 @@ impl Evaluator {
             // Absorb delta into db.
             for i in 0..delta.num_rels() {
                 let rel = RelId::from_index(i);
-                for t in delta.relation(rel).cloned().collect::<Vec<_>>() {
-                    if db.insert(rel, t) {
+                for t in delta.relation(rel) {
+                    if db.insert(rel, t.clone()) {
                         stats.new_tuples += 1;
                     }
                 }
             }
-            if db.total() > self.opts.max_tuples {
-                return Err(NdlogError::Eval {
-                    msg: "tuple limit exceeded".into(),
-                });
-            }
+            self.check_tuple_limit(db)?;
             // Derive the next delta: substitute the delta at each recursive
             // positive occurrence against the absorbed database.
             let mut next = IdDatabase::new();
@@ -1118,15 +776,22 @@ impl Evaluator {
         Ok(())
     }
 
+    fn check_tuple_limit(&self, db: &IdDatabase) -> Result<()> {
+        if db.total() > self.opts.max_tuples {
+            return Err(NdlogError::Eval {
+                msg: "tuple limit exceeded".into(),
+            });
+        }
+        Ok(())
+    }
+
     /// Reference naive evaluation (used to cross-check semi-naive).
-    pub fn run_naive(&self, db: &mut Database) -> Result<EvalStats> {
+    pub fn run_naive(&self, db: &mut IdDatabase) -> Result<EvalStats> {
         let mut stats = EvalStats::default();
         for s in 0..self.analysis.num_strata {
-            let rules: Vec<&Rule> = self.analysis.rules_in_stratum(s);
-            let (agg_rules, plain_rules): (Vec<&Rule>, Vec<&Rule>) =
-                rules.into_iter().partition(|r| r.head.has_agg());
+            let (agg_rules, plain_rules) = self.stratum_rules(s);
             for r in &agg_rules {
-                eval_agg_rule(r, db, &mut stats, &self.metrics.derivations)?;
+                eval_agg_rule_id(r, db, &mut stats, &self.metrics.derivations)?;
             }
             let mut iter = 0usize;
             loop {
@@ -1140,30 +805,35 @@ impl Evaluator {
                 }
                 let mut new = Vec::new();
                 for r in &plain_rules {
-                    let head = &r.head;
+                    let head = &r.rule.head;
                     let mut sink = |env: &Env| -> Result<()> {
                         let t = instantiate_head(head, env)?;
                         count_derivation(&mut stats.derivations, &self.metrics.derivations);
-                        if !db.contains(&head.pred, &t) {
-                            new.push((head.pred.clone(), t));
+                        if !db.contains(r.head, &t) {
+                            new.push((r.head, t));
                         }
                         Ok(())
                     };
-                    eval_body(&r.body, 0, db, None, None, &Env::new(), &mut sink)?;
+                    eval_body_id(
+                        &r.rule.body,
+                        &r.body,
+                        0,
+                        db,
+                        None,
+                        None,
+                        &Env::new(),
+                        &mut sink,
+                    )?;
                 }
                 if new.is_empty() {
                     break;
                 }
-                for (p, t) in new {
-                    if db.insert(p, t) {
+                for (rel, t) in new {
+                    if db.insert(rel, SharedTuple::from(t)) {
                         stats.new_tuples += 1;
                     }
                 }
-                if db.total() > self.opts.max_tuples {
-                    return Err(NdlogError::Eval {
-                        msg: "tuple limit exceeded".into(),
-                    });
-                }
+                self.check_tuple_limit(db)?;
             }
         }
         Ok(stats)
@@ -1171,22 +841,7 @@ impl Evaluator {
 }
 
 /// Evaluate a single (non-aggregate) rule once over `db`, returning the head
-/// tuples it derives. Used by the distributed runtime, which runs its own
-/// per-node fixpoint loop.
-pub fn derive_rule(rule: &Rule, db: &Database) -> Result<Vec<Tuple>> {
-    let mut out = Vec::new();
-    let head = &rule.head;
-    let mut sink = |env: &Env| -> Result<()> {
-        out.push(instantiate_head(head, env)?);
-        Ok(())
-    };
-    eval_body(&rule.body, 0, db, None, None, &Env::new(), &mut sink)?;
-    Ok(out)
-}
-
-/// Evaluate a single (non-aggregate) rule once over an id-keyed database,
-/// returning the head tuples it derives — the id-native sibling of
-/// [`derive_rule`].  Exhaustive explorers (`fvn-mc`'s `NdlogTs`) call this
+/// tuples it derives.  Exhaustive explorers (`fvn-mc`'s `NdlogTs`) call this
 /// per state, so body predicates resolve against `symbols` once per call
 /// instead of once per probed tuple.  Errs if a body predicate is not
 /// interned in `symbols`.
@@ -1213,52 +868,12 @@ pub fn derive_rule_id(rule: &Rule, db: &IdDatabase, symbols: &Symbols) -> Result
     Ok(out)
 }
 
-/// Evaluate a single aggregate rule once over `db`, returning the grouped
-/// head tuples. The caller decides how to reconcile them with prior results
-/// (the distributed runtime recomputes from scratch per change).
-pub fn derive_agg_rule(rule: &Rule, db: &Database) -> Result<Vec<Tuple>> {
-    let mut scratch = db.clone();
-    let mut stats = EvalStats::default();
-    eval_agg_rule(rule, &mut scratch, &mut stats, &Counter::noop())?;
-    let mut out = Vec::new();
-    for t in scratch.relation(&rule.head.pred) {
-        if !db.contains(&rule.head.pred, t) {
-            out.push(t.clone());
-        }
-    }
-    Ok(out)
-}
-
-/// Convenience: analyze, load facts, evaluate, return the database.
+/// Convenience: analyze, load facts, evaluate, and render the result.
 pub fn eval_program(prog: &Program) -> Result<Database> {
     let ev = Evaluator::new(prog)?;
-    let mut db = Evaluator::base_database(prog);
+    let mut db = ev.base_database(prog);
     ev.run(&mut db)?;
-    Ok(db)
-}
-
-/// Test support: evaluate `prog` from scratch with [`Evaluator::run`] and
-/// with [`Evaluator::run_sharded`] at each of `shard_counts`, asserting
-/// the resulting database **and** [`EvalStats`] are byte-identical every
-/// time.  Returns the reference result.
-///
-/// This is the one shared `run` vs `run_sharded` equality check — unit,
-/// integration, and property tests call it instead of repeating the
-/// assertion per call site.
-#[doc(hidden)]
-pub fn assert_run_matches_sharded(prog: &Program, shard_counts: &[usize]) -> (Database, EvalStats) {
-    let ev = Evaluator::new(prog).expect("program analyzes");
-    let mut reference = Evaluator::base_database(prog);
-    let stats = ev.run(&mut reference).expect("reference run succeeds");
-    for &shards in shard_counts {
-        let mut db = Evaluator::base_database(prog);
-        let s = ev
-            .run_sharded(&mut db, shards)
-            .expect("sharded run succeeds");
-        assert_eq!(reference, db, "{shards}-shard database diverges from run");
-        assert_eq!(stats, s, "{shards}-shard statistics diverge from run");
-    }
-    (reference, stats)
+    Ok(db.to_named(ev.symbols()))
 }
 
 #[cfg(test)]
@@ -1317,16 +932,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_seminaive_matches_run_exactly() {
-        let prog = parse_program(&line3()).unwrap();
-        assert_run_matches_sharded(&prog, &[2, 4, 8]);
-    }
-
-    #[test]
     fn naive_equals_seminaive_on_path_vector() {
         let prog = parse_program(&line3()).unwrap();
         let ev = Evaluator::new(&prog).unwrap();
-        let mut a = Evaluator::base_database(&prog);
+        let mut a = ev.base_database(&prog);
         let mut b = a.clone();
         ev.run(&mut a).unwrap();
         ev.run_naive(&mut b).unwrap();
@@ -1388,7 +997,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mut db = Evaluator::base_database(&prog);
+        let mut db = ev.base_database(&prog);
         assert!(ev.run(&mut db).is_err());
     }
 
@@ -1403,39 +1012,11 @@ mod tests {
     fn stats_are_populated() {
         let prog = parse_program(&line3()).unwrap();
         let ev = Evaluator::new(&prog).unwrap();
-        let mut db = Evaluator::base_database(&prog);
+        let mut db = ev.base_database(&prog);
         let stats = ev.run(&mut db).unwrap();
         assert!(stats.new_tuples > 0);
         assert!(stats.derivations >= stats.new_tuples);
         assert!(stats.iterations > 0);
-    }
-
-    #[test]
-    fn interned_run_matches_named_run_exactly() {
-        // Path vector (recursion + aggregates + builtins), stratified
-        // negation, and bounded arithmetic all agree byte-for-byte —
-        // databases AND statistics — between the name-keyed reference
-        // evaluator and the id-native oracle path.
-        for src in [
-            line3(),
-            "a reach(X,Y) :- edge(X,Y).
-             b reach(X,Y) :- reach(X,Z), edge(Z,Y).
-             c unreach(X,Y) :- node(X), node(Y), X != Y, !reach(X,Y).
-             d deg(X, count<Y>) :- edge(X,Y).
-             node(#0). node(#1). node(#2).
-             edge(#0,#1). edge(#1,#2). edge(#2,#0)."
-                .to_string(),
-            "a q(N) :- q(M), M < 10, N = M + 1. q(0).".to_string(),
-        ] {
-            let prog = parse_program(&src).unwrap();
-            let ev = Evaluator::new(&prog).unwrap();
-            let mut named = Evaluator::base_database(&prog);
-            let named_stats = ev.run(&mut named).unwrap();
-            let mut interned = ev.base_database_interned(&prog);
-            let interned_stats = ev.run_interned(&mut interned).unwrap();
-            assert_eq!(named, interned.to_named(ev.symbols()));
-            assert_eq!(named_stats, interned_stats);
-        }
     }
 
     #[test]

@@ -518,17 +518,6 @@ impl IncrementalEngine {
         Self::build(prog, EvalOptions::default())
     }
 
-    /// Like [`new`](Self::new) with custom evaluation bounds.
-    #[deprecated(
-        since = "0.1.0",
-        note = "churn enters through the unified API now: \
-                `Session::open(prog).eval_options(opts).build()` \
-                (see ndlog::update)"
-    )]
-    pub fn with_options(prog: &Program, opts: EvalOptions) -> Result<Self> {
-        Self::build(prog, opts)
-    }
-
     pub(crate) fn build(prog: &Program, opts: EvalOptions) -> Result<Self> {
         let mut engine = Self::from_analysis(analyze(prog)?, opts);
         engine.seed_facts(prog)?;
@@ -754,12 +743,16 @@ impl IncrementalEngine {
 
     /// Is the tuple currently visible?
     pub fn contains(&self, pred: &str, tuple: &[Value]) -> bool {
-        self.storage.contains(pred, tuple)
+        self.symbols()
+            .lookup(pred)
+            .is_some_and(|rel| self.storage.contains_id(rel, tuple))
     }
 
     /// Number of visible tuples of a relation.
     pub fn len_of(&self, pred: &str) -> usize {
-        self.storage.len_of(pred)
+        self.symbols()
+            .lookup(pred)
+            .map_or(0, |rel| self.storage.len_of_id(rel))
     }
 
     /// Materialize the current visible database.
@@ -983,7 +976,8 @@ fn register_pattern(
                         Term::Var(v) => bound.contains(v).then_some(i),
                     })
                     .collect();
-                storage.register_index(&a.pred, &cols);
+                let rel = storage.rel_id(&a.pred);
+                storage.register_index_id(rel, &cols);
                 a.vars(&mut bound);
             }
             Literal::Assign(v, _) => {
@@ -2976,12 +2970,12 @@ mod tests {
         let mut scratch = programs::path_vector();
         programs::add_links(&mut scratch, &remaining);
         let ev = crate::eval::Evaluator::new(&scratch).unwrap();
-        let mut db = crate::eval::Evaluator::base_database(&scratch);
+        let mut db = ev.base_database(&scratch);
         let epoch = ev.run(&mut db).unwrap();
 
         assert_eq!(
             engine.database(),
-            db,
+            db.to_named(ev.symbols()),
             "incremental result must equal epoch recomputation"
         );
         assert!(

@@ -12,7 +12,8 @@
 //!   `r1`–`r4` parse verbatim), `materialize` declarations, ground facts;
 //! * [`safety`] — range restriction, negation safety, location-specifier
 //!   consistency, and stratification;
-//! * [`eval`] — centralized naive and semi-naive bottom-up evaluation with
+//! * [`eval`] — the one evaluation kernel: centralized semi-naive
+//!   bottom-up evaluation (plus the naive reference iterator) with
 //!   `min`/`max`/`count`/`sum` aggregates;
 //! * [`localize`] — the rule-localization rewrite that turns multi-location
 //!   rules into link-local rules for distributed execution;
@@ -89,7 +90,7 @@ pub mod value;
 /// [`update::SessionBuilder::telemetry`] and `Session::metrics()`.
 pub use fvn_telemetry as telemetry;
 
-pub use algo::{AlgoOp, BfsReachability, DijkstraPaths, KShortestPaths, NativeShape};
+pub use algo::{AlgoOp, BfsReachability, DijkstraPaths, NativeShape};
 pub use ast::{Atom, Expr, Head, HeadArg, Literal, Program, Rule, Term};
 pub use error::{NdlogError, Result};
 pub use eval::{eval_program, Database, EvalOptions, EvalStats, Evaluator, IdDatabase};
@@ -102,7 +103,7 @@ pub use parser::{parse_program, parse_rule};
 pub use pool::ShardPool;
 pub use query::{Query, QueryEngine, QueryResult, QueryStats};
 pub use safety::{analyze, Analysis};
-pub use sharded::{ShardRouter, ShardedEngine};
+pub use sharded::ShardRouter;
 pub use storage::RelationStorage;
 pub use symbols::{RelId, Symbols};
 pub use update::{CommitOutcome, Session, SessionBuilder, TtlPolicy, Txn, Update};

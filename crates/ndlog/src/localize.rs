@@ -299,9 +299,9 @@ mod tests {
         let mut p = loc.to_program();
         p.facts = prog.facts.clone();
         let ev = Evaluator::new(&p).unwrap();
-        let mut db = Evaluator::base_database(&p);
+        let mut db = ev.base_database(&p);
         ev.run(&mut db).unwrap();
-        assert!(db.contains(
+        assert!(db.to_named(ev.symbols()).contains(
             "bestPathCost",
             &vec![Value::Addr(0), Value::Addr(2), Value::Int(2)]
         ));

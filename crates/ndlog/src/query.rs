@@ -726,7 +726,7 @@ impl QueryEngine {
                 .collect();
             db.insert(*magic, SharedTuple::from(vals));
         }
-        let ev_stats = plan.ev.run_interned(&mut db)?;
+        let ev_stats = plan.ev.run(&mut db)?;
         let tuples: Vec<Tuple> = db
             .relation(plan.root)
             .filter(|t| q.matches(t))
@@ -793,8 +793,9 @@ mod tests {
         assert!(got.stats.rewritten);
         // Full evaluation derives every pair in both components; demand
         // from n4 only explores its own component.
-        let mut full = Evaluator::base_database(&prog);
-        let full_stats = Evaluator::new(&prog).unwrap().run(&mut full).unwrap();
+        let ev = Evaluator::new(&prog).unwrap();
+        let mut full = ev.base_database(&prog);
+        let full_stats = ev.run(&mut full).unwrap();
         assert!(
             got.stats.derivations < full_stats.derivations,
             "demanded {} vs full {}",

@@ -1,9 +1,10 @@
-//! Sharded parallel evaluation for NDlog.
+//! Sharded parallel maintenance for NDlog.
 //!
-//! The single-threaded engines ([`crate::eval`], [`crate::incremental`])
-//! evaluate every delta rule on one thread, so fixpoint and maintenance cost
-//! grow with topology size regardless of cores.  This module partitions the
-//! *delta work* of each evaluation round across N shard workers:
+//! A single-threaded [`crate::incremental`] engine evaluates every delta
+//! rule on one thread, so fixpoint and maintenance cost grow with topology
+//! size regardless of cores.  This module partitions the *delta work* of
+//! each maintenance round across N shard workers (the from-scratch
+//! [`crate::eval`] kernel stays single-threaded):
 //!
 //! * a [`ShardRouter`] assigns every tuple to a shard by hashing the
 //!   relation's **join key** — the argument positions whose variables are
@@ -74,14 +75,12 @@
 //! assert!(!session.contains("reach", &[Value::Int(1), Value::Int(3)]));
 //! ```
 
-use crate::ast::{Literal, Program, Term};
+use crate::ast::{Literal, Term};
 use crate::error::Result;
-use crate::eval::{Database, EvalOptions};
-use crate::incremental::{BatchOutcome, BatchStats, IncrementalEngine, TupleDelta};
 use crate::pool::ShardPool;
-use crate::safety::{analyze, Analysis};
-use crate::storage::{RelationStorage, SignedDeltas};
-use crate::symbols::{RelId, Symbols};
+use crate::safety::Analysis;
+use crate::storage::SignedDeltas;
+use crate::symbols::RelId;
 use crate::value::Value;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
@@ -108,7 +107,6 @@ pub struct ShardRouter {
     /// tuple hash).  Ids agree with every store built from the same
     /// analysis (see [`crate::symbols`]).
     key_cols: Vec<Option<Vec<usize>>>,
-    symbols: Symbols,
     /// The persistent workers (`shards - 1` threads), shared across every
     /// engine clone using this router.
     pool: Arc<ShardPool>,
@@ -121,18 +119,15 @@ impl ShardRouter {
     /// `shards` is clamped to at least 1.
     pub fn new(analysis: &Analysis, shards: usize) -> Self {
         let shards = shards.max(1);
-        let by_name = join_keys(analysis);
-        let symbols = analysis.symbols.clone();
-        let mut key_cols = vec![None; symbols.len()];
-        for (pred, cols) in by_name {
-            if let Some(id) = symbols.lookup(&pred) {
+        let mut key_cols = vec![None; analysis.symbols.len()];
+        for (pred, cols) in join_keys(analysis) {
+            if let Some(id) = analysis.symbols.lookup(&pred) {
                 key_cols[id.index()] = Some(cols);
             }
         }
         ShardRouter {
             shards,
             key_cols,
-            symbols,
             pool: Arc::new(ShardPool::new(shards - 1)),
         }
     }
@@ -163,23 +158,13 @@ impl ShardRouter {
             .set(self.pool.jobs_dispatched() as i64);
     }
 
-    /// The join-key column positions chosen for `pred`; empty means the
+    /// The join-key column positions chosen for `rel`; empty means the
     /// full tuple is hashed.
-    pub fn key_columns(&self, pred: &str) -> &[usize] {
-        self.symbols
-            .lookup(pred)
-            .and_then(|id| self.key_cols.get(id.index()))
+    fn key_columns_id(&self, rel: RelId) -> &[usize] {
+        self.key_cols
+            .get(rel.index())
             .and_then(Option::as_deref)
             .unwrap_or(&[])
-    }
-
-    /// The shard that owns `tuple` of relation `pred` (name boundary form
-    /// of [`Self::shard_of_id`]).
-    pub fn shard_of(&self, pred: &str, tuple: &[Value]) -> usize {
-        match self.symbols.lookup(pred) {
-            Some(id) => self.shard_of_id(id, tuple),
-            None => self.shard_of_key(tuple),
-        }
     }
 
     /// The shard that owns `tuple` of the interned relation `rel` — the
@@ -190,11 +175,7 @@ impl ShardRouter {
             return 0;
         }
         let mut h = DefaultHasher::new();
-        let cols = self
-            .key_cols
-            .get(rel.index())
-            .and_then(Option::as_deref)
-            .unwrap_or(&[]);
+        let cols = self.key_columns_id(rel);
         if cols.is_empty() || cols.iter().any(|&c| c >= tuple.len()) {
             tuple.hash(&mut h);
         } else {
@@ -323,112 +304,14 @@ pub(crate) fn chunk_by<T: Clone>(
     out
 }
 
-/// An [`IncrementalEngine`] whose maintenance rounds run on N persistent
-/// shard workers.
-///
-/// Construction computes the initial fixpoint of the program's ground facts
-/// (already sharded); [`apply`](Self::apply) consumes churn batches exactly
-/// like the single-threaded engine and produces byte-identical databases and
-/// outcomes for every shard count.  Clones share the router **and** its
-/// worker pool.
-///
-/// **Superseded** by the unified churn API: a
-/// [`Session`](crate::update::Session) built with
-/// [`sharding(n)`](crate::update::SessionBuilder::sharding) wraps the same
-/// engine/router pair — the constructors here remain as deprecated
-/// compatibility wrappers.
-#[derive(Debug, Clone)]
-pub struct ShardedEngine {
-    engine: IncrementalEngine,
-    router: Arc<ShardRouter>,
-}
-
-impl ShardedEngine {
-    /// Analyze `prog`, build the shard router (spawning the persistent
-    /// worker pool), and evaluate the ground facts to a first fixpoint on
-    /// `shards` workers.
-    #[deprecated(
-        since = "0.1.0",
-        note = "churn enters through the unified API now: \
-                `Session::open(prog).sharding(n).build()` (see ndlog::update)"
-    )]
-    pub fn new(prog: &Program, shards: usize) -> Result<Self> {
-        Self::build(prog, EvalOptions::default(), shards)
-    }
-
-    /// Like `new` with custom evaluation bounds.
-    #[deprecated(
-        since = "0.1.0",
-        note = "churn enters through the unified API now: \
-                `Session::open(prog).sharding(n).eval_options(opts).build()` \
-                (see ndlog::update)"
-    )]
-    pub fn with_options(prog: &Program, opts: EvalOptions, shards: usize) -> Result<Self> {
-        Self::build(prog, opts, shards)
-    }
-
-    fn build(prog: &Program, opts: EvalOptions, shards: usize) -> Result<Self> {
-        let analysis = analyze(prog)?;
-        let router = Arc::new(ShardRouter::new(&analysis, shards));
-        let mut engine = IncrementalEngine::from_analysis(analysis, opts);
-        engine.set_sharding(Some(Arc::clone(&router)));
-        engine.seed_facts(prog)?;
-        Ok(ShardedEngine { engine, router })
-    }
-
-    /// Apply one batch of external deltas; see [`IncrementalEngine::apply`].
-    pub fn apply(&mut self, deltas: &[TupleDelta]) -> Result<BatchOutcome> {
-        self.engine.apply(deltas)
-    }
-
-    /// The shard router in use.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    /// Number of shard workers.
-    pub fn shards(&self) -> usize {
-        self.router.shards()
-    }
-
-    /// Work counters of the initial fixpoint.
-    pub fn init_stats(&self) -> BatchStats {
-        self.engine.init_stats()
-    }
-
-    /// The backing store.
-    pub fn storage(&self) -> &RelationStorage {
-        self.engine.storage()
-    }
-
-    /// Is the tuple currently visible?
-    pub fn contains(&self, pred: &str, tuple: &[Value]) -> bool {
-        self.engine.contains(pred, tuple)
-    }
-
-    /// Number of visible tuples of a relation.
-    pub fn len_of(&self, pred: &str) -> usize {
-        self.engine.len_of(pred)
-    }
-
-    /// Materialize the current visible database.
-    pub fn database(&self) -> Database {
-        self.engine.database()
-    }
-
-    /// The wrapped incremental engine (for state comparison with
-    /// single-threaded engines).
-    pub fn engine(&self) -> &IncrementalEngine {
-        &self.engine
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::eval_program;
+    use crate::incremental::{IncrementalEngine, TupleDelta};
     use crate::parser::parse_program;
     use crate::programs;
+    use crate::safety::analyze;
     use crate::value::{SharedTuple, Value};
 
     #[test]
@@ -437,9 +320,10 @@ mod tests {
         let prog = programs::reachability();
         let analysis = analyze(&prog).unwrap();
         let router = ShardRouter::new(&analysis, 4);
+        let id = |p: &str| analysis.symbols.lookup(p).unwrap();
         // r2: link(@S,Z,C), reachable(@Z,D): Z is shared; S only in head.
-        assert_eq!(router.key_columns("reachable"), &[0]);
-        assert!(!router.key_columns("link").is_empty());
+        assert_eq!(router.key_columns_id(id("reachable")), &[0]);
+        assert!(!router.key_columns_id(id("link")).is_empty());
     }
 
     #[test]
@@ -448,15 +332,17 @@ mod tests {
         let analysis = analyze(&prog).unwrap();
         let router = ShardRouter::new(&analysis, 3);
         let t = vec![Value::Addr(1), Value::Addr(2), Value::Int(5)];
-        let s = router.shard_of("link", &t);
-        assert!(s < 3);
-        assert_eq!(s, router.shard_of("link", &t));
-        // The id path agrees with the name path.
         let link = analysis.symbols.lookup("link").unwrap();
+        let s = router.shard_of_id(link, &t);
+        assert!(s < 3);
         assert_eq!(s, router.shard_of_id(link, &t));
-        // Unknown relations and short tuples fall back to full-tuple hash.
+        // Short tuples fall back to the full-tuple hash, as do group keys.
         let short = vec![Value::Int(1)];
-        assert!(router.shard_of("nosuch", &short) < 3);
+        assert!(router.shard_of_id(link, &short) < 3);
+        assert_eq!(
+            router.shard_of_id(link, &short),
+            router.shard_of_key(&short)
+        );
     }
 
     #[test]
@@ -569,25 +455,5 @@ mod tests {
             .unwrap();
         assert_eq!(got.changes, want.changes);
         assert_eq!(sharded.database(), single.database());
-    }
-
-    /// The deprecated wrappers stay functional (and clones still share one
-    /// persistent pool) — the one sanctioned use of the old constructors.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_wrappers_still_work_and_share_one_pool() {
-        let prog = programs::reachability();
-        let mut p = prog.clone();
-        programs::add_links(&mut p, &[(0, 1, 1), (1, 2, 1)]);
-        let a = ShardedEngine::new(&p, 4).unwrap();
-        let b = a.clone();
-        assert!(std::ptr::eq(a.router().pool(), b.router().pool()));
-        assert_eq!(a.router().pool().workers(), 3);
-        // The wrapper and the Session build identical engines.
-        let s = crate::update::Session::open(&p)
-            .sharding(4)
-            .build()
-            .unwrap();
-        assert_eq!(a.database(), s.database());
     }
 }

@@ -21,8 +21,9 @@
 //! [`SharedTuple`]s (`Arc<[Value]>`): the support-map key is the canonical
 //! handle and every index bucket, batch mark, and delta-map entry shares
 //! it, so the former deep `Vec<Value>` clone per index per transition is
-//! now a reference-count bump.  The `&str`-keyed methods remain as
-//! boundary conveniences and delegate to the `_id` forms.
+//! now a reference-count bump.  Names enter only through
+//! [`RelationStorage::rel_id`] (and [`Symbols::lookup`] for readers); every
+//! other method takes the resolved id.
 //!
 //! The delta sets double as *old-view adjustments*: evaluating a literal
 //! against "the database before this batch/round" is `current minus deltas`,
@@ -145,20 +146,20 @@ fn mark_change(
 /// use ndlog::Value;
 ///
 /// let mut store = RelationStorage::new();
-/// store.register_index("edge", &[0]);
+/// // Names are resolved to dense ids once; everything else takes the id.
+/// let edge = store.rel_id("edge");
+/// store.register_index_id(edge, &[0]);
 /// let e = |a: i64, b: i64| vec![Value::Int(a), Value::Int(b)];
-/// store.add_edb("edge", &e(1, 2), 1);
-/// store.add_edb("edge", &e(1, 3), 1);
+/// store.add_edb_id(edge, &e(1, 2), 1);
+/// store.add_edb_id(edge, &e(1, 3), 1);
 /// // O(1) index probe on the first column:
-/// let hits = store.matches_adjusted("edge", &[0], &[Value::Int(1)], None);
+/// let hits = store.matches_adjusted_id(edge, &[0], &[Value::Int(1)], None);
 /// assert_eq!(hits.len(), 2);
 /// // Supports are counted: a second assertion survives one retraction.
-/// store.add_edb("edge", &e(1, 2), 1);
-/// store.add_edb("edge", &e(1, 2), -1);
-/// assert!(store.contains("edge", &e(1, 2)));
-/// // The hot path works in dense interned ids:
-/// let edge = store.symbols().lookup("edge").unwrap();
+/// store.add_edb_id(edge, &e(1, 2), 1);
+/// store.add_edb_id(edge, &e(1, 2), -1);
 /// assert!(store.contains_id(edge, &e(1, 2)));
+/// assert_eq!(store.symbols().lookup("edge"), Some(edge));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RelationStorage {
@@ -215,14 +216,8 @@ impl RelationStorage {
     }
 
     /// Register a hash index on `cols` (sorted argument positions) of
-    /// `pred`.  Idempotent; an empty column set is ignored (that case is a
+    /// `rel`.  Idempotent; an empty column set is ignored (that case is a
     /// full scan by definition).  Existing visible tuples are back-filled.
-    pub fn register_index(&mut self, pred: &str, cols: &[usize]) {
-        let id = self.rel_id(pred);
-        self.register_index_id(id, cols);
-    }
-
-    /// Id form of [`Self::register_index`].
     pub fn register_index_id(&mut self, rel: RelId, cols: &[usize]) {
         if cols.is_empty() {
             return;
@@ -262,14 +257,6 @@ impl RelationStorage {
 
     /// Would a derived tuple of this relation be export-only (homed at
     /// another node)?  Always false outside distributed mode.
-    pub fn is_exported(&self, pred: &str, tuple: &[Value]) -> bool {
-        match self.symbols.lookup(pred) {
-            Some(id) => self.is_exported_id(id, tuple),
-            None => false,
-        }
-    }
-
-    /// Id form of [`Self::is_exported`].
     #[inline]
     pub fn is_exported_id(&self, rel: RelId, tuple: &[Value]) -> bool {
         match (
@@ -390,23 +377,11 @@ impl RelationStorage {
     }
 
     /// Adjust a tuple's external (EDB) multiplicity by `k` (clamped at 0).
-    pub fn add_edb(&mut self, pred: &str, tuple: &[Value], k: i64) -> VisibilityChange {
-        let id = self.rel_id(pred);
-        self.add_edb_id(id, tuple, k)
-    }
-
-    /// Id form of [`Self::add_edb`].
     pub fn add_edb_id(&mut self, rel: RelId, tuple: &[Value], k: i64) -> VisibilityChange {
         self.update_support(rel, tuple, |s| s.edb = (s.edb + k).max(0))
     }
 
     /// Adjust a tuple's derived support count by `k` (counting strata).
-    pub fn add_derived(&mut self, pred: &str, tuple: &[Value], k: i64) -> VisibilityChange {
-        let id = self.rel_id(pred);
-        self.add_derived_id(id, tuple, k)
-    }
-
-    /// Id form of [`Self::add_derived`].
     pub fn add_derived_id(&mut self, rel: RelId, tuple: &[Value], k: i64) -> VisibilityChange {
         if self.is_exported_id(rel, tuple) {
             self.update_exported(rel, tuple, |s| s.derived += k)
@@ -416,12 +391,6 @@ impl RelationStorage {
     }
 
     /// Set or clear the derived 0/1 flag (DRed strata).
-    pub fn set_derived_flag(&mut self, pred: &str, tuple: &[Value], on: bool) -> VisibilityChange {
-        let id = self.rel_id(pred);
-        self.set_derived_flag_id(id, tuple, on)
-    }
-
-    /// Id form of [`Self::set_derived_flag`].
     pub fn set_derived_flag_id(
         &mut self,
         rel: RelId,
@@ -436,14 +405,6 @@ impl RelationStorage {
     }
 
     /// Derived support count of a tuple (0 when absent).
-    pub fn derived_count(&self, pred: &str, tuple: &[Value]) -> i64 {
-        self.symbols
-            .lookup(pred)
-            .map(|id| self.derived_count_id(id, tuple))
-            .unwrap_or(0)
-    }
-
-    /// Id form of [`Self::derived_count`].
     pub fn derived_count_id(&self, rel: RelId, tuple: &[Value]) -> i64 {
         let r = self.rel(rel);
         let side = if self.is_exported_id(rel, tuple) {
@@ -456,14 +417,6 @@ impl RelationStorage {
 
     /// Export-side tuples of a relation with positive support (distributed
     /// mode: what this node has derived for other owners).
-    pub fn exported(&self, pred: &str) -> impl Iterator<Item = &SharedTuple> {
-        self.symbols
-            .lookup(pred)
-            .into_iter()
-            .flat_map(|id| self.exported_id(id))
-    }
-
-    /// Id form of [`Self::exported`].
     pub fn exported_id(&self, rel: RelId) -> impl Iterator<Item = &SharedTuple> {
         self.rel(rel)
             .exported_support
@@ -473,27 +426,11 @@ impl RelationStorage {
     }
 
     /// External multiplicity of a tuple (0 when absent).
-    pub fn edb_count(&self, pred: &str, tuple: &[Value]) -> i64 {
-        self.symbols
-            .lookup(pred)
-            .map(|id| self.edb_count_id(id, tuple))
-            .unwrap_or(0)
-    }
-
-    /// Id form of [`Self::edb_count`].
     pub fn edb_count_id(&self, rel: RelId, tuple: &[Value]) -> i64 {
         self.rel(rel).support.get(tuple).map(|s| s.edb).unwrap_or(0)
     }
 
     /// Is the tuple visible?
-    pub fn contains(&self, pred: &str, tuple: &[Value]) -> bool {
-        self.symbols
-            .lookup(pred)
-            .map(|id| self.contains_id(id, tuple))
-            .unwrap_or(false)
-    }
-
-    /// Id form of [`Self::contains`].
     #[inline]
     pub fn contains_id(&self, rel: RelId, tuple: &[Value]) -> bool {
         self.rel(rel)
@@ -504,14 +441,6 @@ impl RelationStorage {
     }
 
     /// Visible tuples of a relation, in deterministic order.
-    pub fn visible(&self, pred: &str) -> impl Iterator<Item = &SharedTuple> {
-        self.symbols
-            .lookup(pred)
-            .into_iter()
-            .flat_map(|id| self.visible_id(id))
-    }
-
-    /// Id form of [`Self::visible`].
     pub fn visible_id(&self, rel: RelId) -> impl Iterator<Item = &SharedTuple> {
         self.rel(rel)
             .support
@@ -535,14 +464,6 @@ impl RelationStorage {
     }
 
     /// Number of visible tuples of a relation.
-    pub fn len_of(&self, pred: &str) -> usize {
-        self.symbols
-            .lookup(pred)
-            .map(|id| self.len_of_id(id))
-            .unwrap_or(0)
-    }
-
-    /// Id form of [`Self::len_of`].
     pub fn len_of_id(&self, rel: RelId) -> usize {
         self.rel(rel)
             .support
@@ -590,7 +511,7 @@ impl RelationStorage {
     /// All **interned** relation names, in name-sorted order.  Unlike the
     /// former `BTreeMap`-keyed layout, this includes program relations that
     /// currently hold no tuples (stores built from an analysis pre-intern
-    /// the full predicate set); filter with [`Self::len_of`] if "has
+    /// the full predicate set); filter with [`Self::len_of_id`] if "has
     /// recorded state" matters.
     pub fn relations(&self) -> impl Iterator<Item = &str> {
         self.symbols
@@ -624,19 +545,6 @@ impl RelationStorage {
     ///
     /// A `+1` delta entry (appeared) is treated as absent, a `-1` entry
     /// (disappeared) as present.
-    pub fn contains_adjusted(
-        &self,
-        pred: &str,
-        tuple: &[Value],
-        minus: Option<&SignedDeltas>,
-    ) -> bool {
-        match self.symbols.lookup(pred) {
-            Some(id) => self.contains_adjusted_id(id, tuple, minus),
-            None => false,
-        }
-    }
-
-    /// Id form of [`Self::contains_adjusted`].
     pub fn contains_adjusted_id(
         &self,
         rel: RelId,
@@ -649,23 +557,10 @@ impl RelationStorage {
         self.contains_id(rel, tuple)
     }
 
-    /// Visible tuples of `pred` whose values at `cols` equal `key`, in the
-    /// view `current minus deltas` (see [`Self::contains_adjusted`]).  Uses
-    /// the hash index registered for `cols` when available, else scans.
-    pub fn matches_adjusted<'a>(
-        &'a self,
-        pred: &str,
-        cols: &[usize],
-        key: &[Value],
-        minus: Option<&'a SignedDeltas>,
-    ) -> Vec<&'a SharedTuple> {
-        match self.symbols.lookup(pred) {
-            Some(id) => self.matches_adjusted_id(id, cols, key, minus),
-            None => Vec::new(),
-        }
-    }
-
-    /// Id form of [`Self::matches_adjusted`].
+    /// Visible tuples of `rel` whose values at `cols` equal `key`, in the
+    /// view `current minus deltas` (see [`Self::contains_adjusted_id`]).
+    /// Uses the hash index registered for `cols` when available, else
+    /// scans.
     pub fn matches_adjusted_id<'a>(
         &'a self,
         rel: RelId,
@@ -767,15 +662,6 @@ impl RelationStorage {
     }
 
     /// The net visibility changes recorded for one relation this batch.
-    pub fn batch_marks(&self, pred: &str) -> (&BTreeSet<SharedTuple>, &BTreeSet<SharedTuple>) {
-        static EMPTY: BTreeSet<SharedTuple> = BTreeSet::new();
-        match self.symbols.lookup(pred) {
-            Some(id) => self.batch_marks_id(id),
-            None => (&EMPTY, &EMPTY),
-        }
-    }
-
-    /// Id form of [`Self::batch_marks`].
     pub fn batch_marks_id(&self, rel: RelId) -> (&BTreeSet<SharedTuple>, &BTreeSet<SharedTuple>) {
         let r = self.rel(rel);
         (&r.appeared, &r.disappeared)
@@ -904,29 +790,33 @@ mod tests {
     #[test]
     fn visibility_tracks_combined_support() {
         let mut s = RelationStorage::new();
-        assert_eq!(s.add_edb("p", &t(&[1]), 1), VisibilityChange::Appeared);
-        assert_eq!(s.add_derived("p", &t(&[1]), 2), VisibilityChange::Unchanged);
-        assert_eq!(s.add_edb("p", &t(&[1]), -1), VisibilityChange::Unchanged);
+        let p = s.rel_id("p");
+        assert_eq!(s.add_edb_id(p, &t(&[1]), 1), VisibilityChange::Appeared);
         assert_eq!(
-            s.add_derived("p", &t(&[1]), -2),
+            s.add_derived_id(p, &t(&[1]), 2),
+            VisibilityChange::Unchanged
+        );
+        assert_eq!(s.add_edb_id(p, &t(&[1]), -1), VisibilityChange::Unchanged);
+        assert_eq!(
+            s.add_derived_id(p, &t(&[1]), -2),
             VisibilityChange::Disappeared
         );
-        assert!(!s.contains("p", &t(&[1])));
+        assert!(!s.contains_id(p, &t(&[1])));
         assert_eq!(s.total(), 0);
     }
 
     #[test]
     fn marks_cancel_round_trips() {
         let mut s = RelationStorage::new();
-        s.add_edb("p", &t(&[1]), 1);
-        s.add_edb("p", &t(&[1]), -1);
-        let (app, dis) = s.batch_marks("p");
+        let p = s.rel_id("p");
+        s.add_edb_id(p, &t(&[1]), 1);
+        s.add_edb_id(p, &t(&[1]), -1);
+        let (app, dis) = s.batch_marks_id(p);
         assert!(
             app.is_empty() && dis.is_empty(),
             "net-zero change leaves no mark"
         );
-        s.add_edb("p", &t(&[2]), 1);
-        let p = s.symbols().lookup("p").unwrap();
+        s.add_edb_id(p, &t(&[2]), 1);
         let changes = s.take_changes();
         assert_eq!(changes, vec![(p, SharedTuple::from(t(&[2])), 1)]);
         assert!(s.take_changes().is_empty());
@@ -935,42 +825,45 @@ mod tests {
     #[test]
     fn index_probe_matches_scan() {
         let mut s = RelationStorage::new();
-        s.register_index("e", &[0]);
+        let e = s.rel_id("e");
+        s.register_index_id(e, &[0]);
         for (a, b) in [(1, 2), (1, 3), (2, 3)] {
-            s.add_edb("e", &t(&[a, b]), 1);
+            s.add_edb_id(e, &t(&[a, b]), 1);
         }
-        let hits = s.matches_adjusted("e", &[0], &[Value::Int(1)], None);
+        let hits = s.matches_adjusted_id(e, &[0], &[Value::Int(1)], None);
         assert_eq!(hits.len(), 2);
         assert!(hits.iter().all(|tu| tu[0] == Value::Int(1)));
         // Unindexed column set falls back to a scan with the same answer.
-        let scan = s.matches_adjusted("e", &[1], &[Value::Int(3)], None);
+        let scan = s.matches_adjusted_id(e, &[1], &[Value::Int(3)], None);
         assert_eq!(scan.len(), 2);
     }
 
     #[test]
     fn index_backfills_on_late_registration() {
         let mut s = RelationStorage::new();
-        s.add_edb("e", &t(&[1, 2]), 1);
-        s.register_index("e", &[1]);
-        let hits = s.matches_adjusted("e", &[1], &[Value::Int(2)], None);
+        let e = s.rel_id("e");
+        s.add_edb_id(e, &t(&[1, 2]), 1);
+        s.register_index_id(e, &[1]);
+        let hits = s.matches_adjusted_id(e, &[1], &[Value::Int(2)], None);
         assert_eq!(hits.len(), 1);
     }
 
     #[test]
     fn adjusted_view_reconstructs_old_state() {
         let mut s = RelationStorage::new();
-        s.register_index("e", &[0]);
-        s.add_edb("e", &t(&[1, 2]), 1); // old tuple
+        let e = s.rel_id("e");
+        s.register_index_id(e, &[0]);
+        s.add_edb_id(e, &t(&[1, 2]), 1); // old tuple
         s.take_changes();
-        s.add_edb("e", &t(&[1, 3]), 1); // appeared this batch
-        s.add_edb("e", &t(&[1, 2]), -1); // disappeared this batch
+        s.add_edb_id(e, &t(&[1, 3]), 1); // appeared this batch
+        s.add_edb_id(e, &t(&[1, 2]), -1); // disappeared this batch
         let deltas = s.batch_deltas();
         // New view: only (1,3).
-        assert!(s.contains("e", &t(&[1, 3])) && !s.contains("e", &t(&[1, 2])));
+        assert!(s.contains_id(e, &t(&[1, 3])) && !s.contains_id(e, &t(&[1, 2])));
         // Old view: only (1,2).
-        assert!(s.contains_adjusted("e", &t(&[1, 2]), Some(&deltas)));
-        assert!(!s.contains_adjusted("e", &t(&[1, 3]), Some(&deltas)));
-        let old = s.matches_adjusted("e", &[0], &[Value::Int(1)], Some(&deltas));
+        assert!(s.contains_adjusted_id(e, &t(&[1, 2]), Some(&deltas)));
+        assert!(!s.contains_adjusted_id(e, &t(&[1, 3]), Some(&deltas)));
+        let old = s.matches_adjusted_id(e, &[0], &[Value::Int(1)], Some(&deltas));
         assert_eq!(old.len(), 1);
         assert_eq!(old[0].values(), &t(&[1, 2])[..]);
     }
@@ -979,22 +872,25 @@ mod tests {
     fn ordering_ignores_indexes_and_intern_order() {
         let mut a = RelationStorage::new();
         let mut b = RelationStorage::new();
-        a.register_index("p", &[0]);
-        a.add_edb("p", &t(&[1]), 1);
+        let pa = a.rel_id("p");
+        a.register_index_id(pa, &[0]);
+        a.add_edb_id(pa, &t(&[1]), 1);
         // b interns q before p: different ids, same canonical state.
         b.rel_id("q");
-        b.add_edb("p", &t(&[1]), 1);
+        let pb = b.rel_id("p");
+        b.add_edb_id(pb, &t(&[1]), 1);
         assert_eq!(a, b);
-        b.add_derived("p", &t(&[1]), 1);
+        b.add_derived_id(pb, &t(&[1]), 1);
         assert_ne!(a, b, "support counts are part of the canonical state");
     }
 
     #[test]
     fn to_database_exports_visible_only() {
         let mut s = RelationStorage::new();
-        s.add_edb("p", &t(&[1]), 1);
-        s.add_edb("p", &t(&[2]), 1);
-        s.add_edb("p", &t(&[2]), -1);
+        let p = s.rel_id("p");
+        s.add_edb_id(p, &t(&[1]), 1);
+        s.add_edb_id(p, &t(&[2]), 1);
+        s.add_edb_id(p, &t(&[2]), -1);
         let db = s.to_database();
         assert_eq!(db.len_of("p"), 1);
         assert!(db.contains("p", &t(&[1])));
@@ -1003,9 +899,9 @@ mod tests {
     #[test]
     fn shared_handles_are_reused_across_indexes_and_marks() {
         let mut s = RelationStorage::new();
-        s.register_index("e", &[0]);
-        s.add_edb("e", &t(&[1, 2]), 1);
-        let e = s.symbols().lookup("e").unwrap();
+        let e = s.rel_id("e");
+        s.register_index_id(e, &[0]);
+        s.add_edb_id(e, &t(&[1, 2]), 1);
         // The index bucket and the support key share one allocation.
         let hits = s.matches_adjusted_id(e, &[0], &[Value::Int(1)], None);
         assert_eq!(hits.len(), 1);

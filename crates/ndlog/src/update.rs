@@ -186,8 +186,8 @@ impl Update {
 impl From<&TupleDelta> for Update {
     /// A signed raw delta as an update: positive multiplicity maps to
     /// [`Update::Assert`], negative to [`Update::Retract`] (the
-    /// [`TupleDelta`] vocabulary only ever carries ±1) — the migration
-    /// bridge from the deprecated batch APIs.
+    /// [`TupleDelta`] vocabulary only ever carries ±1) — the bridge from
+    /// raw `TupleDelta` batches.
     fn from(d: &TupleDelta) -> Self {
         if d.delta > 0 {
             Update::assert(&d.pred, d.tuple.clone())
@@ -322,7 +322,6 @@ impl TtlPolicy {
 }
 
 /// Builder for a [`Session`]: the one place evaluation strategy is chosen.
-/// Replaces the `with_options` / `with_sharded_options` constructor zoo.
 ///
 /// ```
 /// use ndlog::update::Session;
@@ -646,7 +645,7 @@ enum Backend {
     },
     /// From-scratch re-evaluation over a maintained base multiset.  Fully
     /// id-native: the base multiset, the evaluated [`IdDatabase`], and the
-    /// diff all run on `RelId`/[`SharedTuple`] handles ([`Evaluator::run_interned`]);
+    /// diff all run on `RelId`/[`SharedTuple`] handles ([`Evaluator::run`]);
     /// names are rendered only for the changed tuples of each flush.
     /// `symbols` is a superset clone of the evaluator's table (program
     /// predicates share ids; churn-only relations extend it).
@@ -710,7 +709,7 @@ impl Backend {
                         }
                     }
                 }
-                let ev_stats = ev.run_interned(&mut next)?;
+                let ev_stats = ev.run(&mut next)?;
                 let mut changes: Vec<TupleDelta> = Vec::new();
                 for i in 0..db.num_rels().max(next.num_rels()) {
                     let rel = RelId::from_index(i);

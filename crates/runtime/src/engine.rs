@@ -84,7 +84,7 @@
 
 use fvn_telemetry::{Counter, Gauge, Snapshot, Telemetry};
 use ndlog::ast::Program;
-use ndlog::eval::{Database, EvalOptions};
+use ndlog::eval::Database;
 use ndlog::incremental::{BatchStats, EngineSnapshot, IncrementalEngine, RelDelta};
 use ndlog::localize::localize_program;
 use ndlog::query::{Query, QueryEngine, QueryResult};
@@ -266,13 +266,13 @@ fn arm_timer(
 
 /// Snapshot format v1: everything a node needs to warm-boot after a crash —
 /// the engine's versioned [`EngineSnapshot`] plus the runtime's own
-/// soft-state maps (local view, sent set, per-neighbor provenance counts,
-/// suspended link facts).  Taken on checkpoint ticks; survives the crash
-/// (it models durable storage).
+/// soft-state maps (sent set, per-neighbor provenance counts, suspended
+/// link facts).  The local view is the engine's visible store, so the
+/// engine snapshot already carries it.  Taken on checkpoint ticks;
+/// survives the crash (it models durable storage).
 #[derive(Clone)]
 struct NodeCheckpoint {
     engine: EngineSnapshot,
-    derived: Database,
     sent: BTreeSet<(u32, RelId, SharedTuple)>,
     received: BTreeMap<(u32, RelId, SharedTuple), i64>,
     suspended_links: BTreeMap<u32, Vec<SharedTuple>>,
@@ -289,9 +289,6 @@ pub struct NdlogNode {
     location: Arc<Vec<Option<usize>>>,
     /// This node's ground facts (applied at `Start`).
     base: Vec<RelDelta>,
-    /// Local view: visible tuples homed here (or unlocated).  What the
-    /// experiments and tests read — the one place ids become names again.
-    derived: Database,
     /// Tuples currently asserted to a remote owner.
     sent: BTreeSet<(u32, RelId, SharedTuple)>,
     /// Provenance counts of received assertions, by sending neighbor.
@@ -378,9 +375,16 @@ impl NodeMetrics {
 }
 
 impl NdlogNode {
-    /// The node's visible database (tuples homed here).
-    pub fn database(&self) -> &Database {
-        &self.derived
+    /// The node's local view: the engine's visible store, which holds
+    /// exactly the tuples homed here or unlocated (tuples homed elsewhere
+    /// live on the store's export side).  Empty while the node is dead —
+    /// its volatile state is gone.
+    pub fn database(&self) -> Database {
+        if self.dead {
+            Database::new()
+        } else {
+            self.engine.database()
+        }
     }
 
     /// Cumulative maintenance work across every batch this node ran.
@@ -426,9 +430,8 @@ impl NdlogNode {
     }
 
     /// Apply a batch of external deltas to the engine and turn the net
-    /// changes into local-view updates plus outgoing signed messages.  Runs
-    /// entirely on interned ids and shared tuple handles; the only name
-    /// rendering is the local-view `Database` update.
+    /// changes homed at other nodes into outgoing signed messages.  Runs
+    /// entirely on interned ids and shared tuple handles.
     fn absorb(&mut self, deltas: &[RelDelta]) -> Vec<(u32, TupleMsg)> {
         let outcome = self.engine.apply_interned(deltas).unwrap_or_else(|e| {
             // Protocol::handle cannot return errors; the only failures here
@@ -444,33 +447,24 @@ impl NdlogNode {
         let mut outgoing = Vec::new();
         for change in outcome.changes {
             let RelDelta { rel, tuple, delta } = change;
-            match self.owner_of(rel, &tuple) {
-                Some(owner) if owner != self.me => {
-                    // While the link is down, neither ship nor record: the
-                    // neighbor purged our state and recovery re-ships
-                    // everything still derived.
-                    if self.suspended_links.contains_key(&owner) {
-                        continue;
-                    }
-                    let key = (owner, rel, tuple.clone());
-                    if delta > 0 {
-                        if self.sent.insert(key) {
-                            let msg = self.make_msg(owner, rel, tuple, true);
-                            outgoing.push((owner, msg));
-                        }
-                    } else if self.sent.remove(&key) {
-                        let msg = self.make_msg(owner, rel, tuple, false);
-                        outgoing.push((owner, msg));
-                    }
+            let Some(owner) = self.owner_of(rel, &tuple).filter(|&o| o != self.me) else {
+                continue;
+            };
+            // While the link is down, neither ship nor record: the neighbor
+            // purged our state and recovery re-ships everything still
+            // derived.
+            if self.suspended_links.contains_key(&owner) {
+                continue;
+            }
+            let key = (owner, rel, tuple.clone());
+            if delta > 0 {
+                if self.sent.insert(key) {
+                    let msg = self.make_msg(owner, rel, tuple, true);
+                    outgoing.push((owner, msg));
                 }
-                _ => {
-                    let pred = self.engine.symbols().name(rel).to_string();
-                    if delta > 0 {
-                        self.derived.insert(pred, tuple.to_tuple());
-                    } else {
-                        self.derived.remove(&pred, &tuple);
-                    }
-                }
+            } else if self.sent.remove(&key) {
+                let msg = self.make_msg(owner, rel, tuple, false);
+                outgoing.push((owner, msg));
             }
         }
         outgoing
@@ -1092,7 +1086,6 @@ impl NdlogNode {
     fn take_checkpoint(&mut self) {
         let cp = NodeCheckpoint {
             engine: self.engine.snapshot(),
-            derived: self.derived.clone(),
             sent: self.sent.clone(),
             received: self.received.clone(),
             suspended_links: self.suspended_links.clone(),
@@ -1133,7 +1126,6 @@ impl NdlogNode {
         self.sent.clear();
         self.received.clear();
         self.suspended_links.clear();
-        self.derived = Database::new();
         self.metrics.queue_depth.set(0);
     }
 
@@ -1151,7 +1143,6 @@ impl NdlogNode {
             self.engine
                 .restore(&cp.engine)
                 .expect("checkpoint snapshot version matches this engine");
-            self.derived = cp.derived;
             self.sent = cp.sent;
             self.received = cp.received;
             self.suspended_links = cp.suspended_links;
@@ -1185,7 +1176,6 @@ impl NdlogNode {
             // start suspended (every link is down until the simulator says
             // otherwise).
             self.engine = (*self.pristine).clone();
-            self.derived = Database::new();
             let mut local = Vec::new();
             for d in self.genesis.clone() {
                 let own_link = Some(d.rel) == self.link_rel
@@ -1292,43 +1282,6 @@ impl DistRuntime {
     /// [`Session`] builder.
     pub fn new(program: &Program, topo: &Topology, cfg: SimConfig) -> Result<Self> {
         Self::open(&Session::open(program), topo, cfg)
-    }
-
-    /// Deprecated constructor-zoo wrapper.
-    #[deprecated(
-        since = "0.1.0",
-        note = "churn configuration goes through the unified API now: \
-                `DistRuntime::open(&Session::open(p).eval_options(opts), topo, cfg)`"
-    )]
-    pub fn with_options(
-        program: &Program,
-        topo: &Topology,
-        cfg: SimConfig,
-        eval_opts: EvalOptions,
-    ) -> Result<Self> {
-        Self::open(&Session::open(program).eval_options(eval_opts), topo, cfg)
-    }
-
-    /// Deprecated constructor-zoo wrapper.
-    #[deprecated(
-        since = "0.1.0",
-        note = "churn configuration goes through the unified API now: \
-                `DistRuntime::open(&Session::open(p).sharding(n).eval_options(opts), topo, cfg)`"
-    )]
-    pub fn with_sharded_options(
-        program: &Program,
-        topo: &Topology,
-        cfg: SimConfig,
-        eval_opts: EvalOptions,
-        shards: usize,
-    ) -> Result<Self> {
-        Self::open(
-            &Session::open(program)
-                .eval_options(eval_opts)
-                .sharding(shards),
-            topo,
-            cfg,
-        )
     }
 
     /// Build the distributed runtime from a [`Session`] configuration — the
@@ -1502,7 +1455,6 @@ impl DistRuntime {
                     location: Arc::clone(&location),
                     genesis: base.clone(),
                     base,
-                    derived: Database::new(),
                     sent: Default::default(),
                     received: Default::default(),
                     suspended_links: Default::default(),
@@ -1559,8 +1511,8 @@ impl DistRuntime {
         stats
     }
 
-    /// The derived database at one node.
-    pub fn database_at(&self, node: u32) -> &Database {
+    /// The local view at one node (see [`NdlogNode::database`]).
+    pub fn database_at(&self, node: u32) -> Database {
         self.sim.node(node).database()
     }
 
@@ -1570,7 +1522,7 @@ impl DistRuntime {
     pub fn global_database(&self) -> Database {
         let mut out = Database::new();
         for v in 0..self.sim.topology().num_nodes() {
-            out.absorb(self.sim.node(v).database());
+            out.absorb(&self.sim.node(v).database());
         }
         out
     }
@@ -2044,31 +1996,6 @@ mod tests {
             SimConfig::default(),
         )
         .is_ok());
-    }
-
-    /// The deprecated constructor-zoo wrappers still route through the
-    /// session path and behave identically — the one sanctioned use.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_still_work() {
-        let topo = Topology::line(3);
-        let prog = pv_on(&topo);
-        let mut a =
-            DistRuntime::with_options(&prog, &topo, SimConfig::default(), EvalOptions::default())
-                .unwrap();
-        let mut b = DistRuntime::with_sharded_options(
-            &prog,
-            &topo,
-            SimConfig::default(),
-            EvalOptions::default(),
-            2,
-        )
-        .unwrap();
-        a.run();
-        b.run();
-        assert_eq!(a.global_database(), b.global_database());
-        let central = eval_program(&prog).unwrap();
-        assert_matches(&central, &a.global_database(), "deprecated wrappers");
     }
 
     #[test]

@@ -73,10 +73,14 @@ fn main() {
             let mut p = ndlog::programs::path_vector();
             ndlog::programs::add_links(&mut p, &t.edge_list());
             let ev = Evaluator::new(&p).expect("analyze");
-            let mut db = Evaluator::base_database(&p);
+            let mut db = ev.base_database(&p);
             let epoch = ev.run(&mut db).expect("epoch evaluation");
 
-            assert_eq!(session.database(), db, "incremental and epoch must agree");
+            assert_eq!(
+                session.database(),
+                db.to_named(ev.symbols()),
+                "incremental and epoch must agree"
+            );
             epoch_total += epoch.derivations;
             println!(
                 "{:>6} {:>6}   {:>12} {:>12}   {:>8} {:>8}   {:>6.1}x",

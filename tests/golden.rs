@@ -14,8 +14,11 @@
 //! Regenerate (only for intentional semantic changes) with:
 //! `UPDATE_GOLDEN=1 cargo test --test golden`
 
+use ndlog::ast::{Atom, Term};
 use ndlog::incremental::{IncrementalEngine, TupleDelta};
-use ndlog::{Database, Program, Session, Update, Value};
+use ndlog::{eval_program, Database, Program, Session, Update, Value};
+use ndlog_runtime::DistRuntime;
+use netsim::{CrashSchedule, SimConfig, Topology};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -128,6 +131,23 @@ fn dense_scc_scenarios() -> Vec<(&'static str, Program, Vec<Vec<TupleDelta>>)> {
     ]
 }
 
+/// Apply a churn batch to a program's ground facts, so the from-scratch
+/// evaluator can be run on the fact set of every stage.
+fn apply_to_facts(prog: &mut Program, batch: &[TupleDelta]) {
+    for d in batch {
+        let consts = || d.tuple.iter().cloned().map(Term::Const).collect();
+        if d.delta > 0 {
+            prog.add_fact(Atom::located(d.pred.clone(), consts()));
+        } else if let Some(i) = prog
+            .facts
+            .iter()
+            .position(|f| f.pred == d.pred && f.const_tuple().as_ref() == Some(&d.tuple))
+        {
+            prog.facts.remove(i);
+        }
+    }
+}
+
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -139,11 +159,19 @@ fn incremental_engine_matches_golden_snapshots() {
     let bless = std::env::var_os("UPDATE_GOLDEN").is_some();
     for (name, prog, churn) in scenarios() {
         let mut engine = IncrementalEngine::new(&prog).unwrap();
+        let mut stage_prog = prog.clone();
         let mut stages = String::new();
         writeln!(stages, "== initial ==").unwrap();
+        assert_eq!(engine.database(), eval_program(&stage_prog).unwrap());
         stages.push_str(&render(&engine.database()));
         for (i, batch) in churn.iter().enumerate() {
             engine.apply(batch).unwrap();
+            apply_to_facts(&mut stage_prog, batch);
+            assert_eq!(
+                engine.database(),
+                eval_program(&stage_prog).unwrap(),
+                "{name}: batch {i} diverges from a from-scratch run on its fact set"
+            );
             writeln!(stages, "== after batch {i} ==").unwrap();
             stages.push_str(&render(&engine.database()));
         }
@@ -404,6 +432,65 @@ fn native_recognizer_matches_golden_snapshot() {
     assert_eq!(
         out, want,
         "recognizer coverage diverged from the blessed snapshot \
+         (UPDATE_GOLDEN=1 to regenerate after an intentional change)"
+    );
+}
+
+/// Every node's local view after a fixed fault campaign on a lossy ring:
+/// 10% loss, 5% duplication, node 1 crashing before its first checkpoint
+/// (cold restart), node 2 crashing after one (warm restart), and node 3
+/// crashing for good.  Pins each node's whole `database_at` — the auxiliary
+/// relations of the localized program included — plus the simulator's
+/// message and tick counts.
+#[test]
+fn runtime_local_view_matches_golden_snapshot() {
+    let bless = std::env::var_os("UPDATE_GOLDEN").is_some();
+    let topo = Topology::ring(4);
+    let mut prog = ndlog::programs::path_vector();
+    ndlog_runtime::link_facts(&mut prog, &topo);
+    let cfg = SimConfig {
+        loss: 0.1,
+        duplication: 0.05,
+        ..Default::default()
+    };
+    let mut rt = DistRuntime::open(&Session::open(&prog).checkpoint_every(16), &topo, cfg).unwrap();
+    rt.schedule_crashes(&[
+        CrashSchedule::crash(5, 1),
+        CrashSchedule::restart(60, 1),
+        CrashSchedule::crash(150, 2),
+        CrashSchedule::restart(250, 2),
+        CrashSchedule::crash(400, 3),
+    ]);
+    let stats = rt.run();
+    assert!(stats.quiescent);
+    let mut out = String::new();
+    writeln!(
+        out,
+        "events {} messages {} dropped {} duplicated {} end_time {} converge {}",
+        stats.events,
+        stats.messages,
+        stats.dropped,
+        stats.duplicated,
+        stats.end_time,
+        stats.last_change
+    )
+    .unwrap();
+    for v in 0..topo.num_nodes() {
+        writeln!(out, "== node {v} ==").unwrap();
+        let db = rt.database_at(v);
+        out.push_str(&render(&db));
+    }
+    let path = golden_path("runtime_local_view");
+    if bless {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &out).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
+    assert_eq!(
+        out, want,
+        "runtime local views diverged from the blessed snapshot \
          (UPDATE_GOLDEN=1 to regenerate after an intentional change)"
     );
 }

@@ -53,12 +53,12 @@ fn incremental_beats_epoch_on_50_node_link_failure() {
     let mut failed_prog = ndlog::programs::path_vector();
     ndlog::programs::add_links(&mut failed_prog, &failed.edge_list());
     let ev = Evaluator::new(&failed_prog).unwrap();
-    let mut db = Evaluator::base_database(&failed_prog);
+    let mut db = ev.base_database(&failed_prog);
     let epoch = ev.run(&mut db).unwrap();
 
     assert_eq!(
         engine.database(),
-        db,
+        db.to_named(ev.symbols()),
         "incremental and epoch results must coincide"
     );
     assert!(

@@ -89,7 +89,7 @@ proptest! {
         let src = program_src(&edges, neg);
         let prog = ndlog::parse_program(&src).unwrap();
         let ev = ndlog::Evaluator::new(&prog).unwrap();
-        let mut a = ndlog::Evaluator::base_database(&prog);
+        let mut a = ev.base_database(&prog);
         let mut b = a.clone();
         ev.run(&mut a).unwrap();
         ev.run_naive(&mut b).unwrap();
@@ -291,10 +291,9 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// Sharded evaluation is byte-identical to single-threaded evaluation
-    /// on randomized programs: the from-scratch evaluator produces the same
-    /// database *and statistics* for every shard count, and a fresh
-    /// `ShardedEngine` fixpoint matches too.
+    /// Sharded evaluation is byte-identical to the from-scratch kernel on
+    /// randomized programs: a `Session::sharding(n)` fixpoint equals
+    /// `eval_program` at every shard count.
     #[test]
     fn sharded_eval_matches_on_random_programs(
         edges in prop::collection::vec(arb_edge(), 0..12),
@@ -302,10 +301,7 @@ proptest! {
     ) {
         let src = program_src(&edges, neg);
         let prog = ndlog::parse_program(&src).unwrap();
-        // The shared equality util panics (with shard count context) on any
-        // db/stats divergence — one assertion shared with the in-crate and
-        // integration tests.
-        let (want, _) = ndlog::eval::assert_run_matches_sharded(&prog, &[2, 4, 8]);
+        let want = ndlog::eval_program(&prog).unwrap();
         for shards in [2usize, 4, 8] {
             let session = ndlog::Session::open(&prog).sharding(shards).build().unwrap();
             prop_assert_eq!(&want, &session.database(), "{} shards diverge (session)", shards);

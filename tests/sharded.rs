@@ -7,10 +7,8 @@
 //! one core.)
 //!
 //! Sharding is exercised through the unified churn API: a
-//! [`ndlog::Session`] built with `.sharding(n)` wraps the same engine the
-//! deprecated `ShardedEngine` constructors used to build.
+//! [`ndlog::Session`] built with `.sharding(n)`.
 
-use ndlog::eval::assert_run_matches_sharded;
 use ndlog::incremental::{IncrementalEngine, TupleDelta};
 use ndlog::{eval_program, CommitOutcome, Session, Update, Value};
 use netsim::Topology;
@@ -44,8 +42,8 @@ fn commit(s: &mut Session, batch: &[TupleDelta]) -> CommitOutcome {
         .unwrap()
 }
 
-/// A 40-node reachability fixpoint agrees across 1/2/4/8 shards, the
-/// from-scratch evaluator, and the sharded semi-naive evaluator.
+/// A 40-node reachability fixpoint agrees across 1/2/4/8 shards and the
+/// from-scratch evaluator.
 #[test]
 fn reachability_fixpoint_agrees_across_shard_counts() {
     let topo = Topology::random_connected(40, 0.08, 3, 11);
@@ -53,10 +51,6 @@ fn reachability_fixpoint_agrees_across_shard_counts() {
     ndlog::programs::add_links(&mut prog, &topo.edge_list());
 
     let want = eval_program(&prog).unwrap();
-    // One shared util (also used by the in-crate and property tests) pins
-    // run vs run_sharded dbs *and* stats at every shard count.
-    let (sharded_db, _) = assert_run_matches_sharded(&prog, &[1, 2, 4, 8]);
-    assert_eq!(sharded_db, want, "sharded semi-naive diverges");
     for shards in [1usize, 2, 4, 8] {
         let session = Session::open(&prog).sharding(shards).build().unwrap();
         assert_eq!(
