@@ -660,19 +660,20 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-/// EXP-14: z-set vs DRed deletion work on dense-SCC transitive closure
-/// (DESIGN.md §3 and §11).
+/// EXP-14: z-set deletion work vs epoch recomputation on dense-SCC
+/// transitive closure (DESIGN.md §3 and §11).
 ///
 /// One directed ring SCC over 20 nodes plus a growing number of chord
 /// links; the deleted link is always a chord, so the ring keeps the
 /// component strongly connected and the *visible* database does not change
 /// at all — the true change is zero at every density.  Difference-based
 /// z-set maintenance must therefore do near-flat work as density grows,
-/// while DRed overdeletes the entire component and pays rederivation
-/// proportional to the full fixpoint: the epoch cliff DESIGN.md §6 used to
-/// document, now quantified and asserted.
+/// while recomputing the post-deletion fixpoint from scratch (the
+/// `Evaluator::run` kernel) pays for the whole closure, which grows with
+/// density.  Delete–rederive numbers for the same workload are frozen in
+/// `BENCH_exp14.json`.
 fn bench_zset_deletion(c: &mut Criterion) {
-    use ndlog::incremental::{Maintenance, TupleDelta};
+    use ndlog::incremental::TupleDelta;
     use ndlog::update::Session;
     use ndlog::Value;
 
@@ -682,7 +683,7 @@ fn bench_zset_deletion(c: &mut Criterion) {
     let mut g = c.benchmark_group("exp14_zset_deletion");
     g.sample_size(10);
     let mut zset_work: Vec<usize> = Vec::new();
-    let mut dred_work: Vec<usize> = Vec::new();
+    let mut epoch_work: Vec<usize> = Vec::new();
     for &chords in &[2u32, 6, 12] {
         // Directed ring 0→1→…→19→0 (one SCC) plus `chords` forward chords.
         let mut edges: Vec<(u32, u32, i64)> = (0..N).map(|i| (i, (i + 1) % N, 1)).collect();
@@ -694,44 +695,40 @@ fn bench_zset_deletion(c: &mut Criterion) {
         // Fail the first chord; the ring keeps everything reachable.
         let (da, db) = (edges[N as usize].0, edges[N as usize].1);
         let fail = [TupleDelta::remove("link", link(da, db))];
+        let mut remaining = edges.clone();
+        remaining.remove(N as usize);
+        let mut post = ndlog::programs::reachability();
+        ndlog::programs::add_directed_links(&mut post, &remaining);
 
-        // Pin to the generic engines: this experiment measures the z-set
-        // vs DRed deletion cliff, which the native closure operator would
-        // otherwise short-circuit (EXP-17 covers the native path).
-        let zs = Session::open(&prog).native_ops(false).build().unwrap(); // ZSet is the default
-        let dr = Session::open(&prog)
-            .native_ops(false)
-            .maintenance(Maintenance::Dred)
-            .build()
-            .unwrap();
+        // Pin to the generic engine: this experiment measures z-set
+        // deletion work, which the native closure operator would otherwise
+        // short-circuit (EXP-17 covers the native path).
+        let zs = Session::open(&prog).native_ops(false).build().unwrap();
+        let epoch_ev = ndlog::Evaluator::new(&post).unwrap();
 
-        // Differential acceptance: both paths agree byte-for-byte before
-        // and after the deletion, and the deletion changes nothing visible
-        // beyond the base link itself.
-        assert_eq!(zs.database(), dr.database(), "seed databases diverge");
-        let (mut zs1, mut dr1) = (zs.clone(), dr.clone());
+        // Differential acceptance: the maintained database equals the
+        // from-scratch fixpoint of the post-deletion topology byte-for-byte,
+        // and the deletion changes nothing visible beyond the base link.
+        let mut zs1 = zs.clone();
         let zo = zs1
             .txn()
             .extend(fail.iter().map(ndlog::Update::from))
             .commit()
             .unwrap();
-        let dro = dr1
-            .txn()
-            .extend(fail.iter().map(ndlog::Update::from))
-            .commit()
-            .unwrap();
+        let mut epoch_db = epoch_ev.base_database(&post);
+        let epoch = epoch_ev.run(&mut epoch_db).unwrap();
         assert_eq!(
             zs1.database(),
-            dr1.database(),
+            epoch_db.to_named(epoch_ev.symbols()),
             "post-deletion databases diverge at chords={chords}"
         );
         let visible = zo.changes.iter().filter(|ch| ch.pred != "link").count();
         assert_eq!(visible, 0, "chord deletion must not change reachability");
         zset_work.push(zo.stats.derivations);
-        dred_work.push(dro.stats.derivations);
+        epoch_work.push(epoch.derivations);
         println!(
-            "exp14: chords={chords} true-change=0 zset-derivations={} dred-derivations={}",
-            zo.stats.derivations, dro.stats.derivations
+            "exp14: chords={chords} true-change=0 zset-derivations={} epoch-derivations={}",
+            zo.stats.derivations, epoch.derivations
         );
 
         g.bench_function(BenchmarkId::new("zset_delete", chords), |b| {
@@ -745,26 +742,21 @@ fn bench_zset_deletion(c: &mut Criterion) {
                 black_box(out.stats.derivations)
             })
         });
-        g.bench_function(BenchmarkId::new("dred_delete", chords), |b| {
+        g.bench_function(BenchmarkId::new("epoch_recompute", chords), |b| {
             b.iter(|| {
-                let mut s = dr.clone();
-                let out = s
-                    .txn()
-                    .extend(fail.iter().map(ndlog::Update::from))
-                    .commit()
-                    .unwrap();
-                black_box(out.stats.derivations)
+                let mut db = epoch_ev.base_database(&post);
+                let stats = epoch_ev.run(&mut db).unwrap();
+                black_box(stats.derivations)
             })
         });
     }
     g.finish();
 
-    // The cliff, quantified: z-set deletion work tracks the true change
-    // (zero here), so it stays flat as density grows; DRed re-derives the
-    // whole component, so its work grows with density and dwarfs z-set
-    // everywhere.
-    for (z, d) in zset_work.iter().zip(&dred_work) {
-        assert!(z < d, "z-set deletion work {z} must undercut DRed {d}");
+    // Z-set deletion work tracks the true change (zero here), so it stays
+    // flat as density grows; recomputation re-derives the whole closure,
+    // so its work grows with density and exceeds z-set everywhere.
+    for (z, e) in zset_work.iter().zip(&epoch_work) {
+        assert!(z < e, "z-set deletion work {z} must undercut epoch {e}");
     }
     let zmin = *zset_work.iter().min().unwrap();
     let zmax = *zset_work.iter().max().unwrap();
@@ -773,12 +765,13 @@ fn bench_zset_deletion(c: &mut Criterion) {
         "z-set work must stay flat across densities: {zset_work:?}"
     );
     assert!(
-        dred_work.last().unwrap() > dred_work.first().unwrap(),
-        "DRed work must grow with density: {dred_work:?}"
+        epoch_work.windows(2).all(|w| w[0] < w[1]),
+        "epoch work must grow with density: {epoch_work:?}"
     );
+    let (z12, e12) = (*zset_work.last().unwrap(), *epoch_work.last().unwrap());
     assert!(
-        *dred_work.iter().min().unwrap() > zmax.saturating_mul(3),
-        "DRed cliff must dwarf z-set work: zset {zset_work:?} vs dred {dred_work:?}"
+        e12 >= z12.saturating_mul(3),
+        "epoch must cost at least 3x z-set at the densest SCC: zset {zset_work:?} vs epoch {epoch_work:?}"
     );
 }
 

@@ -221,26 +221,9 @@ impl ChurnTs {
         updates: Vec<(String, Vec<Update>)>,
         opts: ndlog::EvalOptions,
     ) -> Result<Self> {
-        Self::with_maintenance(prog, updates, opts, ndlog::Maintenance::default())
-    }
-
-    /// Like [`with_options`](Self::with_options), additionally selecting the
-    /// maintenance strategy ([`ndlog::Maintenance`]) the explored engine
-    /// clones maintain churn with — so invariants can be model-checked
-    /// against the z-set default *and* the DRed baseline over the same
-    /// interleaving space.
-    pub fn with_maintenance(
-        prog: &Program,
-        updates: Vec<(String, Vec<Update>)>,
-        opts: ndlog::EvalOptions,
-        maintenance: ndlog::Maintenance,
-    ) -> Result<Self> {
         // The engine comes out of the unified churn API (the session owns
         // program compilation); exploration then clones it per state.
-        let session = Session::open(prog)
-            .eval_options(opts)
-            .maintenance(maintenance)
-            .build()?;
+        let session = Session::open(prog).eval_options(opts).build()?;
         let mut start = session
             .engine()
             .expect("incremental backend always has an engine")

@@ -14,12 +14,11 @@
 //! operator does not just produce the right tuple **set** — it produces
 //! the exact semi-naive **firing count** for every output tuple, so the
 //! engine can install the results into the support map exactly as
-//! rule-derived tuples would land there (signed counts under
-//! [`crate::incremental::Maintenance::ZSet`], 0/1 flags under
-//! [`crate::incremental::Maintenance::Dred`]).  Everything downstream —
-//! incremental maintenance, `Session::explain`, byte-identical database
-//! comparison (which includes support maps via `RelationStorage::cmp`) —
-//! then works unchanged.
+//! rule-derived tuples would land there: as the signed derived counts
+//! z-set maintenance in [`crate::incremental`] keeps and resumes from.
+//! Everything downstream — incremental maintenance, `Session::explain`,
+//! byte-identical database comparison (which includes support maps via
+//! `RelationStorage::cmp`) — then works unchanged.
 //!
 //! [`recognize`] is the soundness gate: it pattern-matches a program's
 //! recursive strata against two *proven* shapes (linear transitive

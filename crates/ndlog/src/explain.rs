@@ -1,19 +1,19 @@
 //! Derivation provenance: explain *why* a tuple is in the database.
 //!
 //! The incremental engine's support map records **how many** derivations
-//! sustain each tuple (counting) or whether a derived flag is justified
-//! (DRed) — but not which rule firings produced it.  This module
-//! reconstructs a rule-level derivation tree on demand by generalizing the
-//! DRed rederivation probe: unify the ground tuple with each candidate rule
-//! head, enumerate satisfying body assignments over the *visible* store,
-//! and recurse on the positive body atoms.
+//! sustain each tuple — but not which rule firings produced it.  This
+//! module reconstructs a rule-level derivation tree on demand with the
+//! probe z-set maintenance uses to verify well-founded support: unify the
+//! ground tuple with each candidate rule head (`CompiledRule::unify_head`),
+//! enumerate satisfying body assignments over the *visible* store, and
+//! recurse on the positive body atoms.
 //!
 //! The trees are **support-consistent** by construction: every node the
 //! walker cites is visible in the engine's storage at the time of the call
 //! (a property test pins this), and recursion is well-founded — a tuple
 //! never appears twice on its own derivation path, so self-supporting
-//! cycles (which DRed's delete–rederive pass rejects) are never offered as
-//! evidence.
+//! cycles (which z-set's well-foundedness check rejects) are never offered
+//! as evidence.
 //!
 //! This is the observability counterpart of the paper's proof obligations:
 //! where FVN asks "is this rule *provably correct*?", the explain API asks
@@ -22,7 +22,7 @@
 //! Entry points: [`crate::update::Session::explain`] and
 //! [`IncrementalEngine::explain`].
 
-use crate::ast::{HeadArg, Literal, Term};
+use crate::ast::{Literal, Term};
 use crate::error::Result;
 use crate::eval::Env;
 use crate::incremental::{eval_body_delta, StratumPlan};
@@ -197,7 +197,7 @@ fn explain_derived(
 ) -> Option<Support> {
     for plan in plans {
         for rule in plan.plain.iter().filter(|r| r.head == rel) {
-            let Some(env) = unify_head(rule, tuple) else {
+            let Some(env) = rule.unify_head(tuple) else {
                 continue;
             };
             let candidates = enumerate_bodies(storage, rule, &env).ok()?;
@@ -240,33 +240,6 @@ fn explain_derived(
     None
 }
 
-/// Unify the ground `tuple` with `rule`'s head, pre-binding head variables.
-/// Mirrors the DRed rederivation probe; aggregate heads never unify here.
-fn unify_head(rule: &CompiledRule, tuple: &[Value]) -> Option<Env> {
-    if rule.rule.head.args.len() != tuple.len() {
-        return None;
-    }
-    let mut env = Env::new();
-    for (arg, val) in rule.rule.head.args.iter().zip(tuple.iter()) {
-        match arg {
-            HeadArg::Term(Term::Const(c)) => {
-                if c != val {
-                    return None;
-                }
-            }
-            HeadArg::Term(Term::Var(v)) => match env.get(v) {
-                Some(b) if b != val => return None,
-                Some(_) => {}
-                None => {
-                    env.insert(v.clone(), val.clone());
-                }
-            },
-            HeadArg::Agg(..) => return None,
-        }
-    }
-    Some(env)
-}
-
 /// Enumerate up to [`MAX_CANDIDATES`] complete body assignments consistent
 /// with the pre-bound head environment, over the visible store.
 fn enumerate_bodies(storage: &RelationStorage, rule: &CompiledRule, env: &Env) -> Result<Vec<Env>> {
@@ -285,7 +258,6 @@ fn enumerate_bodies(storage: &RelationStorage, rule: &CompiledRule, env: &Env) -
         delta: None,
         delta_sign: 1,
         adjust: None,
-        old_before_delta: false,
     };
     eval_body_delta(&ctx, 0, env, 1, &mut sink)?;
     Ok(found)

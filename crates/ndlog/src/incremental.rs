@@ -13,18 +13,15 @@
 //!   (`Δ(R₁ ⋈ … ⋈ Rₙ) = Σᵢ new[<i] ⋈ Δᵢ ⋈ old[>i]`), and a tuple dies
 //!   exactly when its count reaches zero.  Stratified negation is handled by
 //!   sign-flipping the delta of the negated relation.
-//! * **Z-set maintenance** (the default, [`Maintenance::ZSet`]) for
-//!   recursive strata: the same signed-count delta propagation as the
-//!   counting path — retractions travel as negative multiplicities — plus a
-//!   backward well-foundedness check on the tuples that actually lost a
-//!   firing, so deletion cost is proportional to the true support change
-//!   instead of the overdelete/rederive cascade.  Strata are split into
-//!   per-SCC sub-plans so only genuine cycles pay the verification pass.
-//! * **DRed** (delete–rederive, Gupta–Mumick–Subrahmanian,
-//!   [`Maintenance::Dred`]) kept as a differential baseline for recursive
-//!   strata: over-delete everything reachable from a deletion against the
-//!   old database, rederive what has alternative support, then semi-naively
-//!   insert the additions.
+//! * **Z-set maintenance** for recursive strata: the same signed-count
+//!   delta propagation as the counting path — retractions travel as
+//!   negative multiplicities — plus a backward well-foundedness check on
+//!   the tuples that actually lost a firing, so deletion cost is
+//!   proportional to the true support change, not to the deletion's
+//!   downward closure.  Strata are split into per-SCC sub-plans so only
+//!   genuine cycles pay the verification pass.  It is the only
+//!   recursive-stratum algorithm; the from-scratch kernel
+//!   ([`crate::eval::Evaluator::run`]) is its differential reference.
 //! * **Recompute-diff** for aggregate rules (`min`/`max`/`count`/`sum`):
 //!   their bodies live strictly below their stratum, so when an input
 //!   changed the rule is re-evaluated over the maintained inputs and the
@@ -139,7 +136,8 @@ impl RelDelta {
 pub struct BatchStats {
     /// Rule firings evaluated (the same metric as
     /// [`EvalStats::derivations`](crate::eval::EvalStats)), summed over
-    /// counting rounds and all three DRed phases.
+    /// counting rounds, z-set propagation and verification, aggregate
+    /// recomputes and native operator output.
     pub derivations: usize,
     /// Tuples whose visibility flipped to present.
     pub inserted: usize,
@@ -180,32 +178,6 @@ pub struct InternedOutcome {
     pub stats: BatchStats,
 }
 
-/// Maintenance algorithm for recursive strata (non-recursive strata always
-/// use counting; aggregates always use group-incremental recompute).
-///
-/// The engines are differential twins: both maintain the exact stratified
-/// fixpoint and the visible databases they produce are byte-identical, so
-/// either can serve as the oracle for the other.  They differ in *how*
-/// deletions travel and what the internal support counts mean, which is why
-/// the knob must be set **before any deltas are applied** — DRed clamps
-/// recursive-stratum support to 0/1 flags that z-set propagation would
-/// misread as exact firing counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Maintenance {
-    /// Difference-based signed-count (z-set) maintenance: retractions
-    /// propagate as negative multiplicities through the same telescoped
-    /// delta rules as insertions, and only tuples that actually lost a
-    /// firing are checked for well-founded support.  Deletion work scales
-    /// with the true change (DESIGN.md §11).
-    #[default]
-    ZSet,
-    /// Classic delete–rederive: overdelete the deletion's downward closure
-    /// against the old database, rederive survivors, re-insert.  On densely
-    /// connected recursive relations the overdeletion degrades to epoch
-    /// cost; kept as the differential baseline (DESIGN.md §11).
-    Dred,
-}
-
 /// A rule compiled against the engine's symbol table: the AST plus the
 /// interned ids of its head and body atoms, resolved once at construction
 /// so the maintenance inner loops never look up a name.
@@ -239,6 +211,35 @@ impl CompiledRule {
             head,
             body_rels,
         }
+    }
+
+    /// Unify the ground `tuple` with the head, pre-binding the head
+    /// variables — the probe shape of the well-foundedness check and of
+    /// provenance walks.  `None` when the tuple does not match; aggregate
+    /// heads never unify.
+    pub(crate) fn unify_head(&self, tuple: &[Value]) -> Option<Env> {
+        if self.rule.head.args.len() != tuple.len() {
+            return None;
+        }
+        let mut env = Env::new();
+        for (arg, val) in self.rule.head.args.iter().zip(tuple) {
+            match arg {
+                HeadArg::Term(Term::Const(c)) => {
+                    if c != val {
+                        return None;
+                    }
+                }
+                HeadArg::Term(Term::Var(v)) => match env.get(v) {
+                    Some(b) if b != val => return None,
+                    Some(_) => {}
+                    None => {
+                        env.insert(v.clone(), val.clone());
+                    }
+                },
+                HeadArg::Agg(..) => return None,
+            }
+        }
+        Some(env)
     }
 
     /// Delta positions of the body for which the caller holds changes:
@@ -278,10 +279,8 @@ pub(crate) struct StratumPlan {
     pub(crate) plain: Vec<CompiledRule>,
     /// Relations occurring in plain-rule bodies (positively or negatively).
     body_preds: BTreeSet<RelId>,
-    /// Relations occurring under negation in plain-rule bodies.
-    neg_preds: BTreeSet<RelId>,
     /// True when the component's head predicates form a dependency cycle —
-    /// maintained by z-set or DRed instead of counting.
+    /// maintained by z-set instead of counting.
     recursive: bool,
     /// Native-operator plan for this component, when the recognizer proved
     /// the component equivalent to a graph algorithm **and** the component
@@ -308,7 +307,8 @@ pub(crate) struct EngineMetrics {
     batches: Counter,
     /// `ndlog_derivations_total`: every maintenance rule firing.
     derivations: Counter,
-    /// `ndlog_maintenance_rounds_total`: counting/DRed visibility rounds.
+    /// `ndlog_maintenance_rounds_total`: counting and z-set propagation
+    /// rounds, z-set death passes and native operator runs.
     rounds: Counter,
     /// `ndlog_tuples_inserted_total`: net tuples that became visible.
     inserted: Counter,
@@ -318,12 +318,6 @@ pub(crate) struct EngineMetrics {
     phase_aggregates: Histogram,
     /// `ndlog_phase_counting_ns`: counting maintenance per stratum batch.
     phase_counting: Histogram,
-    /// `ndlog_phase_dred_overdelete_ns`: DRed phase A.
-    phase_overdelete: Histogram,
-    /// `ndlog_phase_dred_rederive_ns`: DRed phase B.
-    phase_rederive: Histogram,
-    /// `ndlog_phase_dred_insert_ns`: DRed phase C.
-    phase_insert: Histogram,
     /// `ndlog_phase_zset_propagate_ns`: signed-count delta propagation in
     /// z-set maintenance (initial batch and death rounds).
     phase_zset_propagate: Histogram,
@@ -374,9 +368,6 @@ impl EngineMetrics {
             deleted: t.counter("ndlog_tuples_deleted_total"),
             phase_aggregates: t.histogram("ndlog_phase_aggregates_ns"),
             phase_counting: t.histogram("ndlog_phase_counting_ns"),
-            phase_overdelete: t.histogram("ndlog_phase_dred_overdelete_ns"),
-            phase_rederive: t.histogram("ndlog_phase_dred_rederive_ns"),
-            phase_insert: t.histogram("ndlog_phase_dred_insert_ns"),
             phase_zset_propagate: t.histogram("ndlog_phase_zset_propagate_ns"),
             phase_zset_verify: t.histogram("ndlog_phase_zset_verify_ns"),
             zset_work: t.histogram("ndlog_zset_retraction_work"),
@@ -447,13 +438,9 @@ pub struct IncrementalEngine {
     /// shard workers (see [`crate::sharded`]); results are byte-identical
     /// either way, so this is purely an execution-strategy knob.
     sharding: Option<Arc<ShardRouter>>,
-    /// Recursive-stratum maintenance algorithm (z-set by default, DRed as
-    /// the differential baseline).  Must be chosen before any deltas apply.
-    maintenance: Maintenance,
     /// Execute recognized recursive strata with native graph operators
-    /// (default on; off is the differential baseline).  Unlike the
-    /// maintenance knob this may be toggled at any quiescent point: both
-    /// paths store identical support counts.
+    /// (default on; off is the differential baseline).  May be toggled at
+    /// any quiescent point: both paths store identical support counts.
     native_ops: bool,
     /// Telemetry sinks (no-op by default); excluded from equality, which
     /// compares canonical database state only.
@@ -546,10 +533,11 @@ impl IncrementalEngine {
     /// loaded — the distributed runtime seeds each node's base separately.
     pub fn from_analysis(analysis: Analysis, opts: EvalOptions) -> Self {
         let plans = build_plans(&analysis);
-        // Only DRed rederivation (recursive-strata plain rules) and
-        // group-restricted aggregation probe with the head pre-bound;
-        // registering those patterns elsewhere would add index maintenance
-        // with no reader.
+        // Only the z-set well-foundedness check (recursive-strata plain
+        // rules) and group-restricted aggregation probe with the head
+        // pre-bound on the maintenance path (`explain` reuses the same
+        // patterns); registering those patterns elsewhere would add index
+        // maintenance with no hot-path reader.
         let recursive_heads: BTreeSet<RelId> = plans
             .iter()
             .filter(|p| p.recursive)
@@ -582,7 +570,6 @@ impl IncrementalEngine {
             agg_prev: BTreeMap::new(),
             init_stats: BatchStats::default(),
             sharding: None,
-            maintenance: Maintenance::default(),
             native_ops: true,
             metrics: EngineMetrics::default(),
         }
@@ -609,23 +596,6 @@ impl IncrementalEngine {
             .filter_map(|p| p.native.as_ref())
             .map(|shape| shape.describe(self.storage.symbols()))
             .collect()
-    }
-
-    /// Select the recursive-stratum maintenance algorithm.
-    ///
-    /// Must be called **before any deltas are applied** (including the
-    /// program's seed facts): the two algorithms store
-    /// different support counts for recursive strata — z-set keeps exact
-    /// signed firing counts where DRed clamps to 0/1 flags — so switching
-    /// mid-stream on a populated store is unsound.  The visible databases
-    /// they maintain are byte-identical.
-    pub fn set_maintenance(&mut self, maintenance: Maintenance) {
-        self.maintenance = maintenance;
-    }
-
-    /// The recursive-stratum maintenance algorithm in effect.
-    pub fn maintenance(&self) -> Maintenance {
-        self.maintenance
     }
 
     /// Fan maintenance rounds out across `router`'s shard workers (`None`
@@ -715,8 +685,8 @@ impl IncrementalEngine {
     /// Restore a snapshot taken from an engine built over the **same
     /// program** (checked via format version and symbol-table width; a
     /// mismatch is an error and leaves the engine untouched).  Execution
-    /// knobs — sharding, maintenance strategy, telemetry, home — are not
-    /// part of the snapshot and keep their current values.
+    /// knobs — sharding, native operators, telemetry, home — are not part
+    /// of the snapshot and keep their current values.
     pub fn restore(&mut self, snap: &EngineSnapshot) -> Result<()> {
         if snap.version != EngineSnapshot::VERSION {
             return Err(NdlogError::Eval {
@@ -820,10 +790,10 @@ impl IncrementalEngine {
     pub fn apply_interned(&mut self, deltas: &[RelDelta]) -> Result<InternedOutcome> {
         self.metrics.batches.incr();
         let mut stats = BatchStats::default();
-        // Retractions that empty a tuple's external support while a derived
-        // flag keeps it visible leave no visibility mark, but DRed strata
-        // must still overdelete them: the flag may rest on a derivation
-        // cycle through the tuple itself.
+        // Retractions that empty a tuple's external support while derived
+        // support keeps it visible leave no visibility mark, but z-set
+        // strata must still verify them: that support may rest on a
+        // derivation cycle through the tuple itself.
         let mut edb_losses: BTreeMap<RelId, BTreeSet<SharedTuple>> = BTreeMap::new();
         for d in deltas {
             let had_edb = self.storage.edb_count_id(d.rel, &d.tuple) > 0;
@@ -851,19 +821,18 @@ impl IncrementalEngine {
             if plan.recursive {
                 // Native dispatch: a recognized component runs its graph
                 // operator instead of semi-naive maintenance.  The operator
-                // installs the exact support counts the selected maintenance
-                // algorithm would store, so a hand-back (`false`) on a later
-                // batch resumes delta maintenance seamlessly.  Distributed
-                // stores are left to the general engine: localized rules
-                // split strata across nodes and export-side routing breaks
-                // the whole-graph view the operators assume.
+                // installs the exact support counts z-set maintenance would
+                // store, so a hand-back (`false`) on a later batch resumes
+                // delta maintenance seamlessly.  Distributed stores are
+                // left to the general engine: localized rules split strata
+                // across nodes and export-side routing breaks the
+                // whole-graph view the operators assume.
                 let mut handled = false;
                 if self.native_ops && !self.storage.is_distributed() {
                     if let Some(shape) = plan.native.as_ref() {
                         handled = maintain_native(
                             &mut self.storage,
                             shape,
-                            self.maintenance,
                             &edb_losses,
                             &mut stats,
                             &self.metrics,
@@ -883,26 +852,15 @@ impl IncrementalEngine {
                     }
                     continue;
                 }
-                match self.maintenance {
-                    Maintenance::ZSet => maintain_zset(
-                        &mut self.storage,
-                        plan,
-                        &self.opts,
-                        router,
-                        &edb_losses,
-                        &mut stats,
-                        &self.metrics,
-                    )?,
-                    Maintenance::Dred => maintain_dred(
-                        &mut self.storage,
-                        plan,
-                        &self.opts,
-                        router,
-                        &edb_losses,
-                        &mut stats,
-                        &self.metrics,
-                    )?,
-                }
+                maintain_zset(
+                    &mut self.storage,
+                    plan,
+                    &self.opts,
+                    router,
+                    &edb_losses,
+                    &mut stats,
+                    &self.metrics,
+                )?;
             } else {
                 maintain_counting(
                     &mut self.storage,
@@ -939,7 +897,7 @@ impl IncrementalEngine {
 /// Register hash indexes for the static join-key binding pattern of each
 /// positive body atom: the argument positions that are constants or bound by
 /// earlier literals in the safe order (optionally pre-binding the head
-/// variables, the pattern DRed rederivation probes with).
+/// variables, the pattern `CompiledRule::unify_head` probes start from).
 fn register_rule_indexes(storage: &mut RelationStorage, rule: &Rule, bound0: &BTreeSet<String>) {
     register_pattern(storage, rule, bound0.clone(), None);
     // Delta-first evaluation hoists each positive literal to the front, so
@@ -1057,21 +1015,14 @@ fn make_plan(
     recursive: bool,
     native: Option<crate::algo::NativeShape>,
 ) -> StratumPlan {
-    let mut body_preds = BTreeSet::new();
-    let mut neg_preds = BTreeSet::new();
-    for r in &plain {
-        for (_, rel, negated) in r.delta_positions() {
-            body_preds.insert(rel);
-            if negated {
-                neg_preds.insert(rel);
-            }
-        }
-    }
+    let body_preds = plain
+        .iter()
+        .flat_map(|r| r.delta_positions().map(|(_, rel, _)| rel))
+        .collect();
     StratumPlan {
         aggs,
         plain,
         body_preds,
-        neg_preds,
         recursive,
         native,
     }
@@ -1167,19 +1118,20 @@ pub(crate) struct DeltaCtx<'a> {
     /// literal is negated: the negation sees changes inverted).  Borrowing
     /// plus a multiplier avoids cloning the delta map per rule × position.
     pub(crate) delta_sign: i64,
+    /// Subtracted from the store at the positions `minus_for` selects.
     pub(crate) adjust: Option<&'a SignedDeltas>,
-    pub(crate) old_before_delta: bool,
 }
 
 impl DeltaCtx<'_> {
     /// Which view does the literal at original position `pos` read?  The
     /// telescoped delta formula assigns `new` before the delta position and
-    /// `old` after it (and `old` everywhere for DRed overdeletion) — in the
-    /// *original* position numbering, independent of evaluation order.
+    /// `old` (`adjust` subtracted) after it — in the *original* position
+    /// numbering, independent of evaluation order.  Without a delta
+    /// position every literal reads the adjusted view.
     fn minus_for(&self, pos: usize) -> Option<&SignedDeltas> {
         let use_old = match self.delta_at {
-            None => false,
-            Some(d) => pos > d || (pos < d && self.old_before_delta),
+            None => true,
+            Some(d) => pos > d,
         };
         if use_old {
             self.adjust
@@ -1537,7 +1489,6 @@ fn eval_agg_groups(
         delta: None,
         delta_sign: 1,
         adjust: None,
-        old_before_delta: false,
     };
     eval_body_delta(&ctx, 0, &env0, 1, &mut sink)?;
 
@@ -1589,13 +1540,11 @@ fn partition_round<'a>(
 ///
 /// Returns `Ok(true)` when the operator fully maintained the component
 /// (including deciding the batch cannot affect it), `Ok(false)` to hand
-/// the batch back to the general delta engine (which then runs the
-/// selected z-set/DRed maintenance over the exact counts installed by
-/// earlier native runs).
+/// the batch back to the general delta engine (which then runs z-set
+/// maintenance over the exact counts installed by earlier native runs).
 fn maintain_native(
     storage: &mut RelationStorage,
     shape: &NativeShape,
-    maintenance: Maintenance,
     edb_losses: &BTreeMap<RelId, BTreeSet<SharedTuple>>,
     stats: &mut BatchStats,
     metrics: &EngineMetrics,
@@ -1619,7 +1568,7 @@ fn maintain_native(
             stats.rounds += 1;
             stats.derivations += computed.len();
             let spec = spec.clone();
-            install_native(storage, spec.head, maintenance, computed, |t| {
+            install_native(storage, spec.head, computed, |t| {
                 scope.contains(spec.head_src(t))
             });
             Ok(true)
@@ -1650,24 +1599,23 @@ fn maintain_native(
             metrics.algo_output.add(computed.len() as u64);
             stats.rounds += 1;
             stats.derivations += computed.len();
-            install_native(storage, spec.head, maintenance, computed, |_| true);
+            install_native(storage, spec.head, computed, |_| true);
             Ok(true)
         }
     }
 }
 
 /// Diff a native operator's computed `(tuple, firing count)` output against
-/// the store and install the difference — signed counts under z-set, 0/1
-/// flags under DRed — exactly as rule-derived support would land.  Only
-/// tuples passing `in_scope` are reconciled; rows outside the scope were
-/// proven unaffected and keep their support untouched.  Visibility marks
+/// the store and install the difference as signed derived counts, exactly
+/// as rule-derived support would land.  Only tuples passing `in_scope` are
+/// reconciled; rows outside the scope were proven unaffected and keep
+/// their support untouched.  Visibility marks
 /// are recorded (and cancelled) by the storage layer as usual, so
 /// downstream strata and `take_changes` see native results as ordinary
 /// derived deltas.
 fn install_native<F: Fn(&[Value]) -> bool>(
     storage: &mut RelationStorage,
     head: RelId,
-    maintenance: Maintenance,
     computed: Vec<(SharedTuple, i64)>,
     in_scope: F,
 ) {
@@ -1680,29 +1628,13 @@ fn install_native<F: Fn(&[Value]) -> bool>(
         .filter(|(_, d)| *d != 0)
         .collect();
     for (t, k) in &computed {
-        match maintenance {
-            Maintenance::ZSet => {
-                let delta = k - storage.derived_count_id(head, t);
-                if delta != 0 {
-                    storage.add_derived_id(head, t, delta);
-                }
-            }
-            Maintenance::Dred => {
-                if storage.derived_count_id(head, t) == 0 {
-                    storage.set_derived_flag_id(head, t, true);
-                }
-            }
+        let delta = k - storage.derived_count_id(head, t);
+        if delta != 0 {
+            storage.add_derived_id(head, t, delta);
         }
     }
     for (t, d) in stale {
-        match maintenance {
-            Maintenance::ZSet => {
-                storage.add_derived_id(head, &t, -d);
-            }
-            Maintenance::Dred => {
-                storage.set_derived_flag_id(head, &t, false);
-            }
-        }
+        storage.add_derived_id(head, &t, -d);
     }
 }
 
@@ -1760,7 +1692,6 @@ fn maintain_counting(
                         delta: Some(dm),
                         delta_sign: if negated { -1 } else { 1 },
                         adjust: Some(vis_ref),
-                        old_before_delta: false,
                     };
                     eval_body_delta(&ctx, 0, &Env::new(), 1, &mut sink)?;
                 }
@@ -1813,7 +1744,7 @@ fn maintain_counting(
 }
 
 // ---------------------------------------------------------------------
-// Z-set maintenance (recursive strata, the default).
+// Z-set maintenance (recursive strata).
 // ---------------------------------------------------------------------
 //
 // Phase P propagates the batch's visibility deltas as **signed counts** —
@@ -1832,7 +1763,7 @@ fn maintain_counting(
 //
 // Cost model (EXP-14): Phase P is proportional to the firings actually
 // gained/lost, Phase V to the support of the tuples that lost a firing —
-// never to the downward closure DRed overdeletes.
+// never to the size of the deletion's downward closure.
 
 /// Difference-based maintenance of one recursive component.
 fn maintain_zset(
@@ -1847,7 +1778,7 @@ fn maintain_zset(
     let head_preds: BTreeSet<RelId> = plan.plain.iter().map(|r| r.head).collect();
 
     // Sticky suspect set: tuples whose remaining support may be circular.
-    // Seeded from external-assertion losses that left a derived flag
+    // Seeded from external-assertion losses that left derived support
     // standing (no visibility delta, so Phase P alone would never revisit
     // them); Phase P adds every still-visible head that lost a firing.
     let mut suspects: BTreeMap<RelId, BTreeSet<SharedTuple>> = BTreeMap::new();
@@ -1937,7 +1868,7 @@ fn maintain_zset(
             // `zset_propagate` — their counts are already zeroed.
             let mut seed: SignedDeltas = BTreeMap::new();
             for (p, t) in newly_dead {
-                storage.set_derived_flag_id(p, &t, false);
+                storage.clear_derived_id(p, &t);
                 dead.entry(p).or_default().insert(t.clone());
                 if !storage.is_exported_id(p, &t) {
                     seed.entry(p).or_default().insert(t, -1);
@@ -2032,7 +1963,6 @@ fn zset_propagate(
                         delta: Some(dm),
                         delta_sign: if negated { -1 } else { 1 },
                         adjust: Some(vis_ref),
-                        old_before_delta: false,
                     };
                     eval_body_delta(&ctx, 0, &Env::new(), 1, &mut sink)?;
                 }
@@ -2148,37 +2078,9 @@ fn wf_derivable(
     state.in_progress.insert(key.clone());
     let mut found = false;
     for rule in vctx.plan.plain.iter().filter(|r| r.head == rel) {
-        // Unify the ground tuple with the head to pre-bind variables
-        // (exactly the DRed rederivation probe shape).
-        let mut env = Env::new();
-        let mut ok = true;
-        for (arg, val) in rule.rule.head.args.iter().zip(tuple.iter()) {
-            match arg {
-                HeadArg::Term(Term::Const(c)) => {
-                    if c != val {
-                        ok = false;
-                        break;
-                    }
-                }
-                HeadArg::Term(Term::Var(v)) => match env.get(v) {
-                    Some(b) if b != val => {
-                        ok = false;
-                        break;
-                    }
-                    Some(_) => {}
-                    None => {
-                        env.insert(v.clone(), val.clone());
-                    }
-                },
-                HeadArg::Agg(..) => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
+        let Some(env) = rule.unify_head(tuple) else {
             continue;
-        }
+        };
         // Positive body occurrences of component heads: the atoms whose
         // ground instances need their own well-foundedness proof.
         let rec_atoms: Vec<(usize, RelId)> = rule
@@ -2219,20 +2121,17 @@ fn wf_derivable(
             found = true;
             Ok(false) // a well-founded firing suffices
         };
-        // `delta_at` = body.len() puts every position "before the delta"
-        // so the blocked view applies everywhere; no position ever equals
-        // it, so the absent delta map is never read.
+        // No delta position: the blocked view applies to every literal.
         let seq: Vec<usize> = (0..body.len()).collect();
         let ctx = DeltaCtx {
             storage: vctx.storage,
             body,
             body_rels: &rule.body_rels,
             seq: &seq,
-            delta_at: Some(body.len()),
+            delta_at: None,
             delta: None,
             delta_sign: 1,
             adjust: Some(vctx.blocked),
-            old_before_delta: true,
         };
         eval_body_delta(&ctx, 0, &env, 1, &mut sink)?;
         if found {
@@ -2244,411 +2143,6 @@ fn wf_derivable(
         state.proved.insert(key);
     }
     Ok(found)
-}
-
-// ---------------------------------------------------------------------
-// DRed maintenance (recursive strata).
-// ---------------------------------------------------------------------
-
-/// A set of tuples as a unit-signed delta map (what [`DeltaCtx`] consumes).
-/// Shares the tuple handles (reference-count bumps only).
-fn marks_map(set: &BTreeSet<SharedTuple>) -> BTreeMap<SharedTuple, i64> {
-    set.iter().map(|t| (t.clone(), 1)).collect()
-}
-
-fn maintain_dred(
-    storage: &mut RelationStorage,
-    plan: &StratumPlan,
-    opts: &EvalOptions,
-    router: Option<&ShardRouter>,
-    edb_losses: &BTreeMap<RelId, BTreeSet<SharedTuple>>,
-    stats: &mut BatchStats,
-    metrics: &EngineMetrics,
-) -> Result<()> {
-    // Old view for overdeletion: the pre-batch database.
-    let batch_adjust: SignedDeltas = storage.batch_deltas_for(plan.body_preds.iter().copied());
-    let head_preds: BTreeSet<RelId> = plan.plain.iter().map(|r| r.head).collect();
-    let pool = router.map(ShardRouter::pool);
-
-    // --- Phase A: overdelete against the old database. ------------------
-    let phase_a = metrics.phase_overdelete.start_timer();
-    let mut candidates: BTreeMap<RelId, BTreeSet<SharedTuple>> = BTreeMap::new();
-    let mut dying: SignedDeltas = BTreeMap::new();
-    let mut rising_neg: SignedDeltas = BTreeMap::new();
-    for &p in &plan.body_preds {
-        let (app, dis) = storage.batch_marks_id(p);
-        if !dis.is_empty() {
-            dying.insert(p, marks_map(dis));
-        }
-        if plan.neg_preds.contains(&p) && !app.is_empty() {
-            rising_neg.insert(p, marks_map(app));
-        }
-    }
-    // Head tuples whose *external* support vanished while a derived flag
-    // keeps them visible must also be overdeleted: the flag may rest on a
-    // derivation cycle through the tuple itself, which only the
-    // delete-then-rederive pass can detect (rederivation runs with the
-    // candidate removed, so self-support does not count).
-    for (&p, ts) in edb_losses {
-        if !head_preds.contains(&p) {
-            continue;
-        }
-        for t in ts {
-            if storage.edb_count_id(p, t) == 0 && storage.derived_count_id(p, t) > 0 {
-                candidates.entry(p).or_default().insert(t.clone());
-                dying.entry(p).or_default().insert(t.clone(), 1);
-            }
-        }
-    }
-    let mut round = 0usize;
-    while !dying.is_empty() || !rising_neg.is_empty() {
-        round += 1;
-        stats.rounds += 1;
-        if round > opts.max_iterations {
-            return Err(NdlogError::Eval {
-                msg: "iteration limit exceeded in overdeletion".into(),
-            });
-        }
-        // Workers overdelete driven by their shard of the dying/rising
-        // tuples; candidate sets union at the barrier.  `candidates` is
-        // frozen for the round, so the cross-worker dedup it provides is
-        // deterministic; intra-round duplicates collapse in the merge.
-        let mut dy_owned = Vec::new();
-        let dy_parts = partition_round(&dying, router, &mut dy_owned);
-        let mut rn_owned = Vec::new();
-        let rn_parts = partition_round(&rising_neg, router, &mut rn_owned);
-        let frozen: &RelationStorage = storage;
-        let cand_ref = &candidates;
-        let adjust_ref = &batch_adjust;
-        let partials = fan_out(pool, dy_parts.len().max(rn_parts.len()), &|k| {
-            let mut new_cands: BTreeMap<RelId, BTreeSet<SharedTuple>> = BTreeMap::new();
-            let mut derivations = 0usize;
-            for rule in &plan.plain {
-                for (pos, rel, negated) in rule.delta_positions() {
-                    let dmap = if negated {
-                        rn_parts.get(k).and_then(|p| p.get(&rel))
-                    } else {
-                        dy_parts.get(k).and_then(|p| p.get(&rel))
-                    };
-                    let Some(dmap) = dmap else { continue };
-                    let head_rel = rule.head;
-                    let head = &rule.rule.head;
-                    let mut sink = |env: &Env, _sign: i64| -> Result<bool> {
-                        derivations += 1;
-                        let t = instantiate_head(head, env)?;
-                        let seen = cand_ref
-                            .get(&head_rel)
-                            .map(|s| s.contains(&t[..]))
-                            .unwrap_or(false)
-                            || new_cands
-                                .get(&head_rel)
-                                .map(|s| s.contains(&t[..]))
-                                .unwrap_or(false);
-                        if !seen && frozen.derived_count_id(head_rel, &t) > 0 {
-                            new_cands
-                                .entry(head_rel)
-                                .or_default()
-                                .insert(SharedTuple::from(t));
-                        }
-                        Ok(true)
-                    };
-                    let seq = delta_seq(&rule.rule.body, pos);
-                    let ctx = DeltaCtx {
-                        storage: frozen,
-                        body: &rule.rule.body,
-                        body_rels: &rule.body_rels,
-                        seq: &seq,
-                        delta_at: Some(pos),
-                        delta: Some(dmap),
-                        delta_sign: 1,
-                        adjust: Some(adjust_ref),
-                        // The whole body evaluates against the old view.
-                        old_before_delta: true,
-                    };
-                    eval_body_delta(&ctx, 0, &Env::new(), 1, &mut sink)?;
-                }
-            }
-            Ok((new_cands, derivations))
-        })?;
-        let mut new_cands: BTreeMap<RelId, BTreeSet<SharedTuple>> = BTreeMap::new();
-        for (k, (partial, derivations)) in partials.into_iter().enumerate() {
-            stats.derivations += derivations;
-            metrics.shard_load(k, partial.values().map(BTreeSet::len).sum(), derivations);
-            for (p, ts) in partial {
-                new_cands.entry(p).or_default().extend(ts);
-            }
-        }
-        // Deletion propagates only through tuples that actually lose
-        // visibility (a tuple still visible via external support keeps
-        // sustaining downstream firings).
-        dying = BTreeMap::new();
-        rising_neg = BTreeMap::new();
-        for (&p, ts) in &new_cands {
-            // Deletions propagate through tuples that will actually lose
-            // visibility; export-side tuples never joined locally at all.
-            let will_die: BTreeMap<SharedTuple, i64> = ts
-                .iter()
-                .filter(|t| storage.edb_count_id(p, t) == 0 && !storage.is_exported_id(p, t))
-                .map(|t| (t.clone(), 1))
-                .collect();
-            if !will_die.is_empty() {
-                dying.insert(p, will_die);
-            }
-            candidates.entry(p).or_default().extend(ts.iter().cloned());
-        }
-    }
-    for (&p, ts) in &candidates {
-        for t in ts {
-            storage.set_derived_flag_id(p, t, false);
-        }
-    }
-    phase_a.stop();
-
-    // --- Phase B: rederive what has alternative support. -----------------
-    let phase_b = metrics.phase_rederive.start_timer();
-    let mut remaining: Vec<(RelId, SharedTuple)> = candidates
-        .iter()
-        .flat_map(|(&p, ts)| ts.iter().map(move |t| (p, t.clone())))
-        .collect();
-    let shards = router.map_or(1, ShardRouter::shards);
-    if shards <= 1 {
-        loop {
-            let mut progressed = false;
-            let mut still: Vec<(RelId, SharedTuple)> = Vec::new();
-            for (p, t) in remaining {
-                if rederivable(storage, plan, p, &t, stats)? {
-                    storage.set_derived_flag_id(p, &t, true);
-                    progressed = true;
-                } else {
-                    still.push((p, t));
-                }
-            }
-            remaining = still;
-            if !progressed || remaining.is_empty() {
-                break;
-            }
-            stats.rounds += 1;
-        }
-    } else {
-        // Sharded rederivation runs in Jacobi rounds: every worker probes
-        // its shard of the candidates against the store *frozen at the
-        // round start*, and the flags restore together at the barrier.
-        // Rederivability w.r.t. restored flags only grows, so the rounds
-        // converge to the same least fixpoint the sequential in-place
-        // restoration computes (the databases are identical; only the
-        // round count may differ).
-        let r = router.expect("shards > 1 implies a router");
-        while !remaining.is_empty() {
-            let chunks = chunk_by(&remaining, shards, |(p, t)| r.shard_of_id(*p, t));
-            let frozen: &RelationStorage = storage;
-            let partials = fan_out(pool, shards, &|k| {
-                let mut found: Vec<(RelId, SharedTuple)> = Vec::new();
-                let mut local = BatchStats::default();
-                for (p, t) in &chunks[k] {
-                    if rederivable(frozen, plan, *p, t, &mut local)? {
-                        found.push((*p, t.clone()));
-                    }
-                }
-                Ok((found, local.derivations))
-            })?;
-            let mut restored: BTreeSet<(RelId, SharedTuple)> = BTreeSet::new();
-            for (k, (found, derivations)) in partials.into_iter().enumerate() {
-                stats.derivations += derivations;
-                metrics.shard_load(k, found.len(), derivations);
-                restored.extend(found);
-            }
-            if restored.is_empty() {
-                break;
-            }
-            for (p, t) in &restored {
-                storage.set_derived_flag_id(*p, t, true);
-            }
-            remaining.retain(|pt| !restored.contains(pt));
-            if !remaining.is_empty() {
-                stats.rounds += 1;
-            }
-        }
-    }
-
-    phase_b.stop();
-
-    // --- Phase C: semi-naive insertion of the additions. -----------------
-    let _phase_c = metrics.phase_insert.start_timer();
-    let mut rising: SignedDeltas = BTreeMap::new();
-    let mut falling_neg: SignedDeltas = BTreeMap::new();
-    for &p in &plan.body_preds {
-        let (app, dis) = storage.batch_marks_id(p);
-        if !app.is_empty() {
-            rising.insert(p, marks_map(app));
-        }
-        if plan.neg_preds.contains(&p) && !dis.is_empty() {
-            falling_neg.insert(p, marks_map(dis));
-        }
-    }
-    let mut round = 0usize;
-    while !rising.is_empty() || !falling_neg.is_empty() {
-        round += 1;
-        stats.rounds += 1;
-        if round > opts.max_iterations {
-            return Err(NdlogError::Eval {
-                msg: "iteration limit exceeded in insertion".into(),
-            });
-        }
-        // Workers insert driven by their shard of the rising/falling
-        // tuples; the new-tuple maps union at the barrier (worker-local
-        // dedup is an optimization — cross-worker duplicates collapse in
-        // the merge, exactly as the sequential dedup would have).
-        let mut ri_owned = Vec::new();
-        let ri_parts = partition_round(&rising, router, &mut ri_owned);
-        let mut fn_owned = Vec::new();
-        let fn_parts = partition_round(&falling_neg, router, &mut fn_owned);
-        let frozen: &RelationStorage = storage;
-        let partials = fan_out(pool, ri_parts.len().max(fn_parts.len()), &|k| {
-            let mut new_rising: SignedDeltas = BTreeMap::new();
-            let mut exported_new: BTreeSet<(RelId, SharedTuple)> = BTreeSet::new();
-            let mut derivations = 0usize;
-            for rule in &plan.plain {
-                for (pos, rel, negated) in rule.delta_positions() {
-                    let dset = if negated {
-                        fn_parts.get(k).and_then(|p| p.get(&rel))
-                    } else {
-                        ri_parts.get(k).and_then(|p| p.get(&rel))
-                    };
-                    let Some(dmap) = dset else { continue };
-                    let head_rel = rule.head;
-                    let head = &rule.rule.head;
-                    let mut sink = |env: &Env, _sign: i64| -> Result<bool> {
-                        derivations += 1;
-                        let t = instantiate_head(head, env)?;
-                        if frozen.derived_count_id(head_rel, &t) == 0
-                            && !new_rising
-                                .get(&head_rel)
-                                .map(|s| s.contains_key(&t[..]))
-                                .unwrap_or(false)
-                        {
-                            if frozen.is_exported_id(head_rel, &t) {
-                                // Ship-only: flagged below, never propagated.
-                                exported_new.insert((head_rel, SharedTuple::from(t)));
-                            } else {
-                                new_rising
-                                    .entry(head_rel)
-                                    .or_default()
-                                    .insert(SharedTuple::from(t), 1);
-                            }
-                        }
-                        Ok(true)
-                    };
-                    let seq = delta_seq(&rule.rule.body, pos);
-                    let ctx = DeltaCtx {
-                        storage: frozen,
-                        body: &rule.rule.body,
-                        body_rels: &rule.body_rels,
-                        seq: &seq,
-                        delta_at: Some(pos),
-                        delta: Some(dmap),
-                        delta_sign: 1,
-                        adjust: None,
-                        old_before_delta: false,
-                    };
-                    eval_body_delta(&ctx, 0, &Env::new(), 1, &mut sink)?;
-                }
-            }
-            Ok((new_rising, exported_new, derivations))
-        })?;
-        let mut new_rising: SignedDeltas = BTreeMap::new();
-        let mut exported_new: BTreeSet<(RelId, SharedTuple)> = BTreeSet::new();
-        for (k, (rising_part, exported_part, derivations)) in partials.into_iter().enumerate() {
-            stats.derivations += derivations;
-            let contributed =
-                rising_part.values().map(BTreeMap::len).sum::<usize>() + exported_part.len();
-            metrics.shard_load(k, contributed, derivations);
-            for (p, ts) in rising_part {
-                new_rising.entry(p).or_default().extend(ts);
-            }
-            exported_new.extend(exported_part);
-        }
-        for (&p, ts) in &new_rising {
-            for t in ts.keys() {
-                storage.set_derived_flag_id(p, t, true);
-            }
-        }
-        for (p, t) in &exported_new {
-            storage.set_derived_flag_id(*p, t, true);
-        }
-        if storage.total() + storage.exported_total() > opts.max_tuples {
-            return Err(NdlogError::Eval {
-                msg: "tuple limit exceeded".into(),
-            });
-        }
-        rising = new_rising;
-        falling_neg = BTreeMap::new();
-    }
-    Ok(())
-}
-
-/// Does `tuple` of `rel` have a derivation over the current store?
-fn rederivable(
-    storage: &RelationStorage,
-    plan: &StratumPlan,
-    rel: RelId,
-    tuple: &SharedTuple,
-    stats: &mut BatchStats,
-) -> Result<bool> {
-    for rule in plan.plain.iter().filter(|r| r.head == rel) {
-        // Unify the ground tuple with the head to pre-bind variables.
-        let mut env = Env::new();
-        let mut ok = true;
-        for (arg, val) in rule.rule.head.args.iter().zip(tuple.iter()) {
-            match arg {
-                HeadArg::Term(Term::Const(c)) => {
-                    if c != val {
-                        ok = false;
-                        break;
-                    }
-                }
-                HeadArg::Term(Term::Var(v)) => match env.get(v) {
-                    Some(b) if b != val => {
-                        ok = false;
-                        break;
-                    }
-                    Some(_) => {}
-                    None => {
-                        env.insert(v.clone(), val.clone());
-                    }
-                },
-                HeadArg::Agg(..) => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            continue;
-        }
-        let mut found = false;
-        let mut sink = |_env: &Env, _sign: i64| -> Result<bool> {
-            stats.derivations += 1;
-            found = true;
-            Ok(false) // first derivation suffices
-        };
-        let seq: Vec<usize> = (0..rule.rule.body.len()).collect();
-        let ctx = DeltaCtx {
-            storage,
-            body: &rule.rule.body,
-            body_rels: &rule.body_rels,
-            seq: &seq,
-            delta_at: None,
-            delta: None,
-            delta_sign: 1,
-            adjust: None,
-            old_before_delta: false,
-        };
-        eval_body_delta(&ctx, 0, &env, 1, &mut sink)?;
-        if found {
-            return Ok(true);
-        }
-    }
-    Ok(false)
 }
 
 #[cfg(test)]
@@ -2751,8 +2245,8 @@ mod tests {
             engine.database(),
             oracle(programs::REACHABILITY, &[(0, 1, 1), (1, 2, 1), (0, 3, 1)])
         );
-        // 3 can still reach everything through 0: rederivation must have
-        // kept those tuples alive.
+        // 3 can still reach everything through 0: the well-foundedness
+        // check must have kept those tuples alive.
         assert!(engine.contains("reachable", &[addr(3), addr(2)]));
     }
 
@@ -2772,7 +2266,7 @@ mod tests {
     }
 
     #[test]
-    fn path_vector_flap_exercises_dred_aggregates_and_counting() {
+    fn path_vector_flap_exercises_zset_aggregates_and_counting() {
         let edges = [(0, 1, 1), (1, 2, 2), (0, 2, 9)];
         let mut prog = programs::path_vector();
         programs::add_links(&mut prog, &edges);
@@ -2822,8 +2316,8 @@ mod tests {
 
     /// Regression: a tuple whose only genuine support was an external
     /// assertion must die when that assertion is retracted, even though a
-    /// rule derives it *from itself* — the derived flag rests on a cycle
-    /// through the tuple, which only delete-then-rederive can expose.
+    /// rule derives it *from itself* — the derived support rests on a cycle
+    /// through the tuple, which only the well-foundedness check can expose.
     #[test]
     fn self_supporting_cycle_dies_with_its_external_support() {
         let prog = parse_program("r d(X) :- d(X), e(X). e(1).").unwrap();
@@ -2951,7 +2445,7 @@ mod tests {
     fn incremental_beats_epoch_on_single_link_failure() {
         // Path vector on a 20-node tree with redundant chords: every `path`
         // tuple's derivation is pinned to its route, so a link failure
-        // overdeletes exactly the paths through the failed link.  That must
+        // retracts exactly the paths through the failed link.  That must
         // cost fewer derivations than re-running the whole fixpoint.
         let mut edges: Vec<(u32, u32, i64)> = (1..20u32).map(|i| ((i - 1) / 2, i, 1)).collect();
         edges.push((7, 12, 1));

@@ -20,8 +20,7 @@
 //! * [`storage`] / [`incremental`] — the incremental maintenance subsystem:
 //!   indexed relation storage with per-relation delta sets, counting-based
 //!   maintenance for non-recursive strata and difference-based z-set
-//!   maintenance for recursive ones (DRed kept as a differential baseline
-//!   behind [`incremental::Maintenance`]), so topology churn is absorbed as
+//!   maintenance for recursive ones, so topology churn is absorbed as
 //!   tuple deltas instead of epoch recomputation;
 //! * [`symbols`] — the relation-name interner: dense [`symbols::RelId`]s
 //!   and shared tuples ([`value::SharedTuple`]) keep the join-probe /
@@ -96,8 +95,8 @@ pub use error::{NdlogError, Result};
 pub use eval::{eval_program, Database, EvalOptions, EvalStats, Evaluator, IdDatabase};
 pub use explain::{Explanation, Support};
 pub use incremental::{
-    BatchOutcome, BatchStats, EngineSnapshot, IncrementalEngine, InternedOutcome, Maintenance,
-    RelDelta, TupleDelta,
+    BatchOutcome, BatchStats, EngineSnapshot, IncrementalEngine, InternedOutcome, RelDelta,
+    TupleDelta,
 };
 pub use parser::{parse_program, parse_rule};
 pub use pool::ShardPool;

@@ -2,7 +2,7 @@
 //!
 //! [`crate::sharded`] used to spawn fresh scoped threads (`std::thread::scope`)
 //! for every evaluation round — one spawn+join per fixpoint barrier, paid
-//! hundreds of times on deep fixpoints and once per maintenance round under
+//! once per round of a deep fixpoint and once per maintenance round under
 //! churn.  [`ShardPool`] replaces that with **long-lived workers**: threads
 //! are spawned once (when the [`crate::sharded::ShardRouter`] is built) and
 //! fed per-round closures over channels, surviving across rounds, batches,

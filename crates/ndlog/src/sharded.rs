@@ -18,8 +18,8 @@
 //!   **driven only by its shard of the deltas**, joining against the shared
 //!   frozen store;
 //! * workers write their partial results — signed head-tuple deltas,
-//!   overdeletion candidates, rederivation verdicts — into per-shard slots
-//!   and the coordinator merges them *in shard order* at a **global fixpoint
+//!   z-set suspect sets, re-aggregated groups — into per-shard slots and
+//!   the coordinator merges them *in shard order* at a **global fixpoint
 //!   barrier** before applying the round's net changes and routing the next
 //!   round's deltas.
 //!
@@ -38,7 +38,7 @@
 //! 2. each delta tuple is owned by exactly one shard, so the union of the
 //!    workers' rule firings is exactly the single-threaded firing set;
 //! 3. partial results merge through commutative, order-insensitive
-//!    operations — signed support counts *sum*, candidate sets *union* —
+//!    operations — signed support counts *sum*, suspect sets *union* —
 //!    into ordered maps, and the coordinator applies them in `BTreeMap`
 //!    order exactly as the single-threaded engine would.
 //!

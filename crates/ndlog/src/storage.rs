@@ -4,14 +4,15 @@
 //! relation keeps
 //!
 //! * a **support map** per tuple — external (EDB) multiplicity plus a derived
-//!   support count (exact firing counts in counting strata, a 0/1 flag in
-//!   DRed strata).  A tuple is *visible* while either support is positive;
+//!   support count (the exact number of rule firings, in counting and z-set
+//!   strata alike).  A tuple is *visible* while either support is positive;
 //! * **hash indexes** on join-key column sets, registered up front from the
 //!   rule bodies' static binding patterns, so the delta-rule inner loops
 //!   probe O(1) buckets instead of scanning `BTreeSet<Tuple>` linearly;
 //! * **per-relation delta sets** (`appeared` / `disappeared`) recording net
 //!   visibility changes of the current maintenance batch, with automatic
-//!   cancellation (delete-then-rederive nets to no change).
+//!   cancellation (a tuple that disappears and reappears within one batch
+//!   nets to no change).
 //!
 //! # Interned hot path
 //!
@@ -381,7 +382,7 @@ impl RelationStorage {
         self.update_support(rel, tuple, |s| s.edb = (s.edb + k).max(0))
     }
 
-    /// Adjust a tuple's derived support count by `k` (counting strata).
+    /// Adjust a tuple's derived support count by `k`.
     pub fn add_derived_id(&mut self, rel: RelId, tuple: &[Value], k: i64) -> VisibilityChange {
         if self.is_exported_id(rel, tuple) {
             self.update_exported(rel, tuple, |s| s.derived += k)
@@ -390,17 +391,13 @@ impl RelationStorage {
         }
     }
 
-    /// Set or clear the derived 0/1 flag (DRed strata).
-    pub fn set_derived_flag_id(
-        &mut self,
-        rel: RelId,
-        tuple: &[Value],
-        on: bool,
-    ) -> VisibilityChange {
+    /// Zero a tuple's derived support count (z-set maintenance force-kills
+    /// tuples whose remaining support is circular).
+    pub fn clear_derived_id(&mut self, rel: RelId, tuple: &[Value]) -> VisibilityChange {
         if self.is_exported_id(rel, tuple) {
-            self.update_exported(rel, tuple, |s| s.derived = i64::from(on))
+            self.update_exported(rel, tuple, |s| s.derived = 0)
         } else {
-            self.update_support(rel, tuple, |s| s.derived = i64::from(on))
+            self.update_support(rel, tuple, |s| s.derived = 0)
         }
     }
 
@@ -618,8 +615,8 @@ impl RelationStorage {
         // the bound columns start with a run of leading tuple positions
         // (`cols` is sorted, so [0,1,3] has the run [0,1]), a sorted-range
         // scan over that run replaces the full delta iteration, with the
-        // remaining columns checked per candidate — overdeletion and
-        // counting maintenance probe this on every inner-loop join, so the
+        // remaining columns checked per candidate — counting and z-set
+        // maintenance probe this on every inner-loop join, so the
         // difference is quadratic vs near-linear in the batch size.
         if let Some(d) = dm {
             let run = cols

@@ -41,9 +41,7 @@ use crate::ast::{Lifetime, Program};
 use crate::error::{NdlogError, Result};
 use crate::eval::{Database, EvalOptions, Evaluator, IdDatabase};
 use crate::explain::Explanation;
-use crate::incremental::{
-    BatchStats, EngineSnapshot, IncrementalEngine, Maintenance, RelDelta, TupleDelta,
-};
+use crate::incremental::{BatchStats, EngineSnapshot, IncrementalEngine, RelDelta, TupleDelta};
 use crate::query::{Query, QueryEngine, QueryResult};
 use crate::sharded::ShardRouter;
 use crate::storage::RelationStorage;
@@ -342,7 +340,6 @@ pub struct SessionBuilder {
     opts: EvalOptions,
     ttl: Option<TtlPolicy>,
     telemetry: Telemetry,
-    maintenance: Maintenance,
     checkpoint_every: u64,
     native_ops: bool,
 }
@@ -366,22 +363,6 @@ impl SessionBuilder {
     pub fn eval_options(mut self, opts: EvalOptions) -> Self {
         self.opts = opts;
         self
-    }
-
-    /// Recursive-stratum maintenance algorithm:
-    /// [`Maintenance::ZSet`] (the default — difference-based signed-count
-    /// maintenance, deletion cost proportional to the true change) or
-    /// [`Maintenance::Dred`] (classic delete–rederive, kept as the
-    /// differential baseline).  The visible databases are byte-identical
-    /// either way; only the maintenance work differs (EXP-14).
-    pub fn maintenance(mut self, maintenance: Maintenance) -> Self {
-        self.maintenance = maintenance;
-        self
-    }
-
-    /// The configured recursive-stratum maintenance algorithm.
-    pub fn maintenance_mode(&self) -> Maintenance {
-        self.maintenance
     }
 
     /// Execute recognized recursive strata with native graph operators
@@ -480,18 +461,15 @@ impl SessionBuilder {
         &self.telemetry
     }
 
-    /// Build an **incremental** session (counting/z-set maintenance by
-    /// default, see [`maintenance`](Self::maintenance); the production
-    /// backend), evaluating the program's facts to a first fixpoint — on
-    /// the configured shard workers when `sharding > 1`.
+    /// Build an **incremental** session (counting maintenance for
+    /// non-recursive strata, z-set maintenance for recursive ones; the
+    /// production backend), evaluating the program's facts to a first
+    /// fixpoint — on the configured shard workers when `sharding > 1`.
     pub fn build(self) -> Result<Session> {
         let analysis = crate::safety::analyze(&self.prog)?;
         let router = (self.shards > 1).then(|| Arc::new(ShardRouter::new(&analysis, self.shards)));
         let queries = QueryEngine::new(&analysis, self.opts);
         let mut engine = IncrementalEngine::from_analysis(analysis, self.opts);
-        // The maintenance algorithm must be fixed before the first batch
-        // (the two paths store different recursive-stratum counts).
-        engine.set_maintenance(self.maintenance);
         engine.set_native_ops(self.native_ops);
         engine.set_sharding(router.clone());
         // Resolve metric handles before the initial fixpoint so seeding is
@@ -803,7 +781,6 @@ impl Session {
             opts: EvalOptions::default(),
             ttl: None,
             telemetry: Telemetry::disabled(),
-            maintenance: Maintenance::default(),
             checkpoint_every: 0,
             native_ops: true,
         }
@@ -1171,9 +1148,9 @@ impl Session {
     /// refreshed from the live store first, so the snapshot always reflects
     /// the current database.
     ///
-    /// Counter families are order-insensitive sums and therefore identical
-    /// across shard counts, as is the z-set retraction-work histogram;
-    /// phase-timing histograms and the DRed baseline's round counters are
+    /// Counter families — maintenance rounds included — and the z-set
+    /// retraction-work histogram are identical across shard counts;
+    /// phase-timing histograms, per-shard load splits and pool gauges are
     /// schedule-dependent (see `DESIGN.md` §10 for the exact determinism
     /// contract, pinned by the golden telemetry test).
     pub fn metrics(&self) -> Snapshot {

@@ -15,7 +15,7 @@
 //! facts toward that neighbor, a [`netsim::Event::MetricChange`] recosts
 //! them in place (first-class metric churn — one retract+assert batch, no
 //! linkless intermediate state), the engine propagates the tuple deltas
-//! (counting / DRed, see [`ndlog::incremental`]), and the node ships signed
+//! (counting / z-set, see [`ndlog::incremental`]), and the node ships signed
 //! [`TupleMsg`]s — assertions *and retractions* — to the affected owners.
 //! Receivers track per-neighbor provenance counts, so a tuple asserted by
 //! two neighbors survives one retraction, and a link failure purges exactly

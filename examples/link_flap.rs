@@ -6,7 +6,7 @@
 //!
 //! * **incremental** — the failure/recovery enters a telemetry-enabled
 //!   [`ndlog::Session`] as one link-down/link-up transaction and
-//!   counting/DRed maintenance repairs the database;
+//!   counting/z-set maintenance repairs the database;
 //! * **epoch** — the from-scratch semi-naive evaluator recomputes the world,
 //!   which is what the paper's runtime did on every topology change.
 //!

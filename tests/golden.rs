@@ -82,11 +82,12 @@ fn scenarios() -> Vec<(&'static str, Program, Vec<Vec<TupleDelta>>)> {
     ]
 }
 
-/// Dense-SCC deletion workloads (ISSUE 7): one strongly-connected
-/// component under link deletions that range from fully redundant (no
-/// visible change — the adversarial case for overdeletion) to
-/// support-destroying, plus a recovery.  Blessed from the **DRed** engine;
-/// the z-set default must reproduce every stage byte-for-byte.
+/// Dense-SCC deletion workloads: one strongly-connected component under
+/// link deletions that range from fully redundant (no visible change — the
+/// adversarial case for delete-driven maintenance) to support-destroying,
+/// plus a recovery.  Blessed from the from-scratch kernel over each
+/// stage's fact set; z-set maintenance must reproduce every stage
+/// byte-for-byte.
 fn dense_scc_scenarios() -> Vec<(&'static str, Program, Vec<Vec<TupleDelta>>)> {
     let del = |a: u32, b: u32| TupleDelta {
         pred: "link".into(),
@@ -226,55 +227,61 @@ fn sharded_session_matches_golden_snapshots_at_every_shard_count() {
     }
 }
 
-/// ISSUE 7: z-set maintenance is pinned byte-identical to DRed on dense-SCC
-/// deletion workloads.  The snapshots are blessed from the **DRed**
-/// baseline (`UPDATE_GOLDEN=1` writes the DRed rendering only); the z-set
-/// default must then reproduce every staged state at shard counts 1/2/4/8
-/// through the session layer, and DRed itself must keep matching its own
-/// blessing.
+/// Z-set maintenance on the dense-SCC deletion workloads: every staged
+/// state must equal a from-scratch `eval_program` run over that stage's
+/// fact set and the committed snapshot, at shard counts 1/2/4/8 through
+/// the session layer.  `UPDATE_GOLDEN=1` blesses the `eval_program`
+/// rendering.
 #[test]
-fn zset_dense_scc_deletions_match_dred_blessed_goldens() {
-    use ndlog::Maintenance;
-
+fn zset_dense_scc_deletions_match_golden_snapshots() {
     let bless = std::env::var_os("UPDATE_GOLDEN").is_some();
     for (name, prog, churn) in dense_scc_scenarios() {
-        let run = |mode: Maintenance, shards: usize| -> String {
-            let mut session = Session::open(&prog)
-                .maintenance(mode)
-                .sharding(shards)
-                .build()
-                .unwrap();
-            let mut stages = String::new();
-            writeln!(stages, "== initial ==").unwrap();
-            stages.push_str(&render(&session.database()));
-            for (i, batch) in churn.iter().enumerate() {
-                commit(&mut session, batch);
-                writeln!(stages, "== after batch {i} ==").unwrap();
-                stages.push_str(&render(&session.database()));
+        // The reference: from-scratch evaluation of every stage's facts.
+        let mut stage_prog = prog.clone();
+        let mut oracle = vec![eval_program(&stage_prog).unwrap()];
+        for batch in &churn {
+            apply_to_facts(&mut stage_prog, batch);
+            oracle.push(eval_program(&stage_prog).unwrap());
+        }
+        let mut rendered = String::new();
+        for (i, db) in oracle.iter().enumerate() {
+            match i {
+                0 => writeln!(rendered, "== initial ==").unwrap(),
+                _ => writeln!(rendered, "== after batch {} ==", i - 1).unwrap(),
             }
-            stages
-        };
-
-        let dred = run(Maintenance::Dred, 1);
+            rendered.push_str(&render(db));
+        }
         let path = golden_path(name);
         if bless {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(&path, &dred).unwrap();
+            std::fs::write(&path, &rendered).unwrap();
             continue;
         }
         let want = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
         assert_eq!(
-            dred, want,
-            "{name}: DRed baseline diverged from its own blessed snapshot \
+            rendered, want,
+            "{name}: from-scratch evaluation diverged from the blessed snapshot \
              (UPDATE_GOLDEN=1 to regenerate after an intentional change)"
         );
+
+        // `oracle` renders to the snapshot, so matching it stage by stage
+        // matches the golden file.
         for shards in [1usize, 2, 4, 8] {
+            let mut session = Session::open(&prog).sharding(shards).build().unwrap();
             assert_eq!(
-                run(Maintenance::ZSet, shards),
-                want,
-                "{name}: z-set at {shards} shards diverges from the DRed-blessed snapshot"
+                session.database(),
+                oracle[0],
+                "{name}: z-set at {shards} shards diverges initially"
             );
+            for (i, batch) in churn.iter().enumerate() {
+                commit(&mut session, batch);
+                assert_eq!(
+                    session.database(),
+                    oracle[i + 1],
+                    "{name}: z-set at {shards} shards diverges after batch {i}"
+                );
+            }
         }
     }
 }

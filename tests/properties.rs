@@ -44,10 +44,10 @@ fn algo_cases() -> u32 {
 
 /// Exact support counts of a session's incremental store: visible tuple →
 /// (derived count, edb count).  `None` for the oracle backend (from-scratch
-/// evaluation keeps no counts).  Counts are maintenance-strategy-specific
-/// (z-set keeps exact multiplicities, DRed clamps derived support to a
-/// flag), so equality is asserted *within* a strategy across shard counts
-/// and batch windows — the order-insensitive-merge claim of DESIGN.md §11.
+/// evaluation keeps no counts).  Every incremental session keeps exact
+/// firing counts, so the harnesses assert one snapshot across shard
+/// counts, batch windows and native operators on/off — the
+/// order-insensitive-merge claim of DESIGN.md §11.
 fn support_snapshot(
     s: &ndlog::Session,
 ) -> Option<std::collections::BTreeMap<(ndlog::RelId, ndlog::SharedTuple), (i64, i64)>> {
@@ -480,7 +480,7 @@ proptest! {
     }
 
     /// Incremental maintenance is exact: a randomized insert/delete churn
-    /// sequence applied through the counting/DRed engine yields a database
+    /// sequence applied through the counting/z-set engine yields a database
     /// identical to from-scratch semi-naive evaluation after every batch —
     /// for both the recursive-with-aggregates path-vector program and plain
     /// transitive closure.
@@ -542,17 +542,17 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(diff_cases()))]
 
-    /// The z-set differential harness (ISSUE 7): randomized recursive
+    /// The z-set differential harness: randomized recursive
     /// programs — optionally with stratified negation and aggregate strata
     /// — over dense-SCC topologies (a directed 6-ring plus random chords)
-    /// under mixed assert/retract/metric churn, run through the ZSet and
-    /// DRed maintenance paths at shard counts 1/2/4 × batch windows 0/4 and
-    /// through the from-scratch oracle.  At every quiescent point (mid-
-    /// stream flush and final drain) all sessions must agree byte-for-byte
-    /// on the database, and support counts must be identical within each
-    /// maintenance strategy across every shard/window combination.
+    /// under mixed assert/retract/metric churn, run through z-set
+    /// maintenance at shard counts 1/2/4 × batch windows 0/4 and through
+    /// the from-scratch oracle.  At every quiescent point (mid-stream flush
+    /// and final drain) all sessions must agree byte-for-byte with the
+    /// oracle's database, and support counts must be identical across every
+    /// shard/window combination.
     #[test]
-    fn zset_matches_dred_and_oracle_under_churn(
+    fn zset_matches_oracle_under_churn(
         chords in prop::collection::vec((0u32..6, 0u32..6), 0..8),
         events in prop::collection::vec((0u64..3, 0u32..6, 0u32..6, 0u8..3), 1..10),
         neg in any::<bool>(),
@@ -560,7 +560,7 @@ proptest! {
     ) {
         use ndlog::incremental::TupleDelta;
         use ndlog::update::replay;
-        use ndlog::{Maintenance, Session, Update, Value};
+        use ndlog::{Session, Update, Value};
         use std::collections::BTreeMap;
 
         // Recursive closure over weighted edges; negation and aggregates
@@ -589,27 +589,22 @@ proptest! {
         }
         let prog = ndlog::parse_program(&src).unwrap();
 
-        let mut sessions: Vec<(String, Maintenance, Session)> = Vec::new();
-        for &mode in &[Maintenance::ZSet, Maintenance::Dred] {
-            for shards in [1usize, 2, 4] {
-                for window in [0u64, 4] {
-                    sessions.push((
-                        format!("{mode:?}/s{shards}/w{window}"),
-                        mode,
-                        // `native_ops(false)`: this harness exists to soak the
-                        // generic z-set/DRed delta engines; the recognizer
-                        // would otherwise claim the closure stratum (native
-                        // coverage lives in
-                        // `native_ops_match_semi_naive_under_churn`).
-                        Session::open(&prog)
-                            .maintenance(mode)
-                            .sharding(shards)
-                            .batch_window(window)
-                            .native_ops(false)
-                            .build()
-                            .unwrap(),
-                    ));
-                }
+        let mut sessions: Vec<(String, Session)> = Vec::new();
+        for shards in [1usize, 2, 4] {
+            for window in [0u64, 4] {
+                sessions.push((
+                    format!("s{shards}/w{window}"),
+                    // `native_ops(false)`: this harness exists to soak the
+                    // generic z-set delta engine; the recognizer would
+                    // otherwise claim the closure stratum (native coverage
+                    // lives in `native_ops_match_semi_naive_under_churn`).
+                    Session::open(&prog)
+                        .sharding(shards)
+                        .batch_window(window)
+                        .native_ops(false)
+                        .build()
+                        .unwrap(),
+                ));
             }
         }
         let mut oracle = Session::open(&prog).batch_window(4).oracle().unwrap();
@@ -645,15 +640,15 @@ proptest! {
         }
 
         // Two quiescent points: after each half of the stream, flush every
-        // session and require byte-identical databases and (per-strategy)
-        // identical support counts.
+        // session and require byte-identical databases and identical
+        // support counts.
         let halves = [&stream[..stream.len() / 2], &stream[stream.len() / 2..]];
         for (point, half) in halves.iter().enumerate() {
             replay(&mut oracle, half).unwrap();
             oracle.flush().unwrap();
             let want = oracle.database();
-            let mut per_mode: BTreeMap<&'static str, _> = BTreeMap::new();
-            for (name, mode, s) in sessions.iter_mut() {
+            let mut reference = None;
+            for (name, s) in sessions.iter_mut() {
                 replay(s, half).unwrap();
                 s.flush().unwrap();
                 prop_assert_eq!(
@@ -664,14 +659,8 @@ proptest! {
                     point
                 );
                 let counts = support_snapshot(s).expect("incremental backend keeps counts");
-                let key = match mode {
-                    Maintenance::ZSet => "zset",
-                    Maintenance::Dred => "dred",
-                };
-                match per_mode.get(key) {
-                    None => {
-                        per_mode.insert(key, counts);
-                    }
+                match &reference {
+                    None => reference = Some(counts),
                     Some(reference) => prop_assert_eq!(
                         reference,
                         &counts,
@@ -688,13 +677,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(diff_cases()))]
 
-    /// The demand-driven read path (ISSUE 9): randomized recursive programs
+    /// The demand-driven read path: randomized recursive programs
     /// — optionally with stratified negation and aggregate strata — over
     /// random topologies under mixed churn.  At every quiescent point,
     /// point/partial/scan queries through `Session::query` must return
     /// exactly the tuples obtained by filtering the fully-materialized
     /// oracle database with the query's binding pattern — across shard
-    /// counts 1/4, both maintenance modes, and the oracle backend itself —
+    /// counts 1/4 and the oracle backend itself —
     /// and the id-native bulk read must round-trip to `database()`.
     #[test]
     fn query_answers_equal_oracle_filtering_under_churn(
@@ -706,7 +695,7 @@ proptest! {
     ) {
         use ndlog::incremental::TupleDelta;
         use ndlog::update::replay;
-        use ndlog::{Maintenance, Query, Session, Update, Value};
+        use ndlog::{Query, Session, Update, Value};
         use std::collections::BTreeMap;
 
         let mut src = String::from(
@@ -733,13 +722,11 @@ proptest! {
         let prog = ndlog::parse_program(&src).unwrap();
 
         let mut sessions: Vec<(String, Session)> = Vec::new();
-        for &mode in &[Maintenance::ZSet, Maintenance::Dred] {
-            for shards in [1usize, 4] {
-                sessions.push((
-                    format!("{mode:?}/s{shards}"),
-                    Session::open(&prog).maintenance(mode).sharding(shards).build().unwrap(),
-                ));
-            }
+        for shards in [1usize, 4] {
+            sessions.push((
+                format!("s{shards}"),
+                Session::open(&prog).sharding(shards).build().unwrap(),
+            ));
         }
         sessions.push(("oracle".into(), Session::open(&prog).oracle().unwrap()));
 
@@ -888,17 +875,16 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(algo_cases()))]
 
-    /// The native graph-operator subsystem (ISSUE 10): a program holding
+    /// The native graph-operator subsystem: a program holding
     /// both recognized shapes — two-rule transitive closure (BFS operator)
     /// and the paper's path-vector recursion (shortest-path enumerator) —
     /// plus the aggregate strata consuming the native-derived tuples, over
     /// random weighted topologies under mixed churn.  At every quiescent
     /// point the visible databases must equal the from-scratch oracle for
-    /// **every** cell of {native on, native off} x {ZSet, DRed} x {shards
-    /// 1, 4}, and within a maintenance mode the full support snapshots
-    /// (derived + edb counts) must be byte-identical across native on/off
-    /// and shard counts — natively installed tuples are indistinguishable
-    /// from rule-derived ones.  Explain trees for every native-derived
+    /// **every** cell of {native on, native off} x {shards 1, 4}, and the
+    /// full support snapshots (derived + edb counts) must be byte-identical
+    /// across native on/off and shard counts — natively installed tuples
+    /// are indistinguishable from rule-derived ones.  Explain trees for every native-derived
     /// tuple must exist and ground in EDB `link` facts.
     #[test]
     fn native_ops_match_semi_naive_under_churn(
@@ -907,7 +893,7 @@ proptest! {
     ) {
         use ndlog::incremental::TupleDelta;
         use ndlog::update::replay;
-        use ndlog::{Maintenance, Query, Session, Update, Value};
+        use ndlog::{Query, Session, Update, Value};
         use std::collections::BTreeMap;
 
         // Both proven shapes side by side on the same `link` EDB, with the
@@ -929,22 +915,17 @@ proptest! {
         let edges: Vec<(u32, u32, i64)> = live.iter().map(|(&(a, b), &w)| (a, b, w)).collect();
         ndlog::programs::add_directed_links(&mut prog, &edges);
 
-        let mut sessions: Vec<(String, Maintenance, bool, Session)> = Vec::new();
+        let mut sessions: Vec<(String, Session)> = Vec::new();
         for &native in &[true, false] {
-            for &mode in &[Maintenance::ZSet, Maintenance::Dred] {
-                for shards in [1usize, 4] {
-                    sessions.push((
-                        format!("native={native}/{mode:?}/s{shards}"),
-                        mode,
-                        native,
-                        Session::open(&prog)
-                            .maintenance(mode)
-                            .sharding(shards)
-                            .native_ops(native)
-                            .build()
-                            .unwrap(),
-                    ));
-                }
+            for shards in [1usize, 4] {
+                sessions.push((
+                    format!("native={native}/s{shards}"),
+                    Session::open(&prog)
+                        .sharding(shards)
+                        .native_ops(native)
+                        .build()
+                        .unwrap(),
+                ));
             }
         }
         let mut oracle = Session::open(&prog).oracle().unwrap();
@@ -987,8 +968,8 @@ proptest! {
             replay(&mut oracle, half).unwrap();
             oracle.flush().unwrap();
             let want = oracle.database();
-            let mut per_mode: BTreeMap<&'static str, _> = BTreeMap::new();
-            for (name, mode, _native, s) in sessions.iter_mut() {
+            let mut reference = None;
+            for (name, s) in sessions.iter_mut() {
                 replay(s, half).unwrap();
                 s.flush().unwrap();
                 prop_assert_eq!(
@@ -999,14 +980,8 @@ proptest! {
                     point
                 );
                 let counts = support_snapshot(s).expect("incremental backend keeps counts");
-                let key = match mode {
-                    Maintenance::ZSet => "zset",
-                    Maintenance::Dred => "dred",
-                };
-                match per_mode.get(key) {
-                    None => {
-                        per_mode.insert(key, counts);
-                    }
+                match &reference {
+                    None => reference = Some(counts),
                     Some(reference) => prop_assert_eq!(
                         reference,
                         &counts,
@@ -1017,12 +992,12 @@ proptest! {
                 }
             }
 
-            // Provenance for native-derived tuples: the native=true / ZSet /
+            // Provenance for native-derived tuples: the native=true /
             // 1-shard cell must explain every reachable and path tuple with
             // a tree grounding in visible `link` facts.
-            let (name, _, _, s) = sessions
+            let (name, s) = sessions
                 .iter_mut()
-                .find(|(n, ..)| n == "native=true/ZSet/s1")
+                .find(|(n, _)| n == "native=true/s1")
                 .unwrap();
             for (pred, arity) in [("reachable", 2), ("path", 4)] {
                 let visible = want.relation(pred).count();

@@ -5,13 +5,14 @@
 //! **order-insensitive sums** (batches, derivations, net tuple churn,
 //! session traffic, relation sizes) must render byte-identically at every
 //! shard count — partitioning work across shard workers redistributes the
-//! increments but never changes their total.  The z-set retraction-work
-//! histogram is also in the contract: propagation partitions sink calls
-//! exactly and verification is single-threaded, so its samples are
-//! identical at every shard count.  Schedule-dependent families (phase
-//! timings, DRed baseline round counts, per-shard load splits, pool
-//! gauges) are excluded from the golden rendering and covered by the
-//! weaker fixed-shard-count reproducibility invariant below.
+//! increments but never changes their total.  Maintenance round counts
+//! and the z-set retraction-work histogram are also in the contract: every
+//! round ends at a global barrier whatever the shard count, propagation
+//! partitions sink calls exactly, and verification is single-threaded, so
+//! they are identical at every shard count.  Schedule-dependent families
+//! (phase timings, per-shard load splits, pool gauges) are excluded from
+//! the golden rendering and covered by the weaker fixed-shard-count
+//! reproducibility invariant below.
 //!
 //! Regenerate the blessed renderings (only for intentional metric-set
 //! changes) with: `UPDATE_GOLDEN=1 cargo test --test telemetry`
@@ -79,6 +80,7 @@ fn deterministic(name: &str) -> bool {
     [
         "ndlog_batches_total",
         "ndlog_derivations_total",
+        "ndlog_maintenance_rounds_total",
         "ndlog_tuples_inserted_total",
         "ndlog_tuples_deleted_total",
         "session_txns_total",
@@ -147,10 +149,9 @@ fn snapshot_rendering_is_identical_across_shard_counts() {
 
 /// At a *fixed* shard count every non-timing metric is deterministic:
 /// repeating the identical run reproduces the identical snapshot, per-shard
-/// load splits and maintenance round counts included.  (Across *different*
-/// shard counts those families legitimately vary — delta propagation runs
-/// Gauss–Seidel on one shard and Jacobi rounds on many, for z-set and the
-/// DRed baseline alike — which is exactly why the golden test above pins
+/// load splits and pool gauges included.  (Across *different* shard counts
+/// those families legitimately vary — the load split is the shard count's
+/// partition of the work — which is exactly why the golden test above pins
 /// only the order-insensitive subset.)
 #[test]
 fn repeated_runs_reproduce_identical_snapshots() {
