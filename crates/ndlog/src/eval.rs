@@ -10,6 +10,11 @@
 //! *naive* iterator over the same store; a property test in this module and
 //! in `tests/` checks `naive ≡ semi-naive` on randomized programs.
 //!
+//! `run` joins each rule body along a cost-ordered plan and probes hash
+//! indexes built for that one call; `run_naive` (and [`derive_rule_id`])
+//! join in source order by full scans, so the reference shares no plan or
+//! index with the kernel it checks.
+//!
 //! [`Database`] is only the name-keyed *rendering* of a result
 //! ([`IdDatabase::to_named`], `RelationStorage::to_database`) for tests,
 //! goldens and external readers; nothing evaluates over it.
@@ -22,6 +27,7 @@ use crate::ast::*;
 use crate::builtins::eval_builtin;
 use crate::error::{NdlogError, Result};
 use crate::safety::{analyze, Analysis};
+use crate::storage::HashIndex;
 use crate::symbols::{RelId, Symbols};
 use crate::value::{SharedTuple, Tuple, Value};
 use fvn_telemetry::{Counter, Histogram, Telemetry};
@@ -138,7 +144,12 @@ impl IdDatabase {
 
     /// Tuples of a relation (empty view if absent).
     pub fn relation(&self, rel: RelId) -> impl Iterator<Item = &SharedTuple> {
-        self.rels.get(rel.index()).into_iter().flatten()
+        self.set(rel).into_iter().flatten()
+    }
+
+    /// The tuple set of a relation, if it has a slot.
+    fn set(&self, rel: RelId) -> Option<&BTreeSet<SharedTuple>> {
+        self.rels.get(rel.index())
     }
 
     /// Whether the tuple is present.
@@ -294,81 +305,265 @@ pub(crate) fn instantiate_head(head: &Head, env: &Env) -> Result<Tuple> {
     Ok(out)
 }
 
-/// Evaluate the body of a rule over `db`, optionally restricting the
-/// positive-atom occurrence at body index `delta_at` to tuples in `delta`.
-/// Atom predicates are resolved through `rels` (aligned to `body`, `Some`
-/// exactly at atom literals).  Calls `sink` with each complete environment.
-#[allow(clippy::too_many_arguments)]
-fn eval_body_id(
+/// How a planned step reads its literal's relation (positive atoms only;
+/// the other literals ignore it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Access {
+    /// Walk every tuple of the relation.
+    Scan,
+    /// Walk the round's delta: the semi-naive delta position.
+    Delta,
+    /// Probe the run's hash index at this position of
+    /// [`RunIndexes::by_rel`] with the step's bound values.
+    Probe(usize),
+}
+
+/// One step of a body plan: which literal, and how an atom reads it.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    lit: usize,
+    access: Access,
+}
+
+/// The body in source order with full scans: the plan of
+/// [`Evaluator::run_naive`] and [`derive_rule_id`].
+fn source_order(body: &[Literal]) -> Vec<Step> {
+    (0..body.len())
+        .map(|lit| Step {
+            lit,
+            access: Access::Scan,
+        })
+        .collect()
+}
+
+/// The per-run hash indexes of [`Evaluator::run`], kept beside the
+/// database rather than inside it, so [`IdDatabase`]'s API and ordering
+/// stay those of a plain tuple store.  Each index is back-filled when a
+/// plan first considers its `(relation, bound columns)` pattern and is
+/// extended with every tuple the run inserts afterwards.
+#[derive(Debug, Default)]
+struct RunIndexes {
+    /// Indexed by [`RelId::index`]; each relation's indexes in creation
+    /// order (never removed within a run, so positions are stable).
+    by_rel: Vec<Vec<HashIndex>>,
+}
+
+impl RunIndexes {
+    /// Position of the index of `rel` on `cols`, back-filling it from `db`
+    /// on first use.
+    fn ensure(&mut self, db: &IdDatabase, rel: RelId, cols: &[usize]) -> usize {
+        if self.by_rel.len() <= rel.index() {
+            self.by_rel.resize_with(rel.index() + 1, Vec::new);
+        }
+        let slot = &mut self.by_rel[rel.index()];
+        if let Some(k) = slot.iter().position(|ix| ix.cols() == cols) {
+            return k;
+        }
+        slot.push(HashIndex::build(cols, db.relation(rel)));
+        slot.len() - 1
+    }
+
+    fn get(&self, rel: RelId, k: usize) -> &HashIndex {
+        &self.by_rel[rel.index()][k]
+    }
+
+    /// Insert into `db`, extending the relation's indexes when the tuple
+    /// is new.
+    fn insert(&mut self, db: &mut IdDatabase, rel: RelId, tuple: SharedTuple) -> bool {
+        let new = db.insert(rel, tuple.clone());
+        if let Some(slot) = self.by_rel.get_mut(rel.index()).filter(|_| new) {
+            slot.iter_mut().for_each(|ix| ix.insert(&tuple));
+        }
+        new
+    }
+}
+
+/// The unplaced positive atom with the smallest expected bucket, and how
+/// to read it: relation size ÷ distinct keys of the index on its bound
+/// columns, or relation size when no column is bound; ties go to source
+/// order.  An empty relation costs nothing and is scanned, so it gets no
+/// index until it holds tuples.  `first`, the first unplaced literal, is
+/// a positive atom, so there is always one to pick.
+fn cheapest_atom(
     body: &[Literal],
     rels: &[Option<RelId>],
-    idx: usize,
+    placed: &[bool],
+    first: usize,
+    bound: &BTreeSet<&str>,
     db: &IdDatabase,
-    delta_at: Option<usize>,
-    delta: Option<&IdDatabase>,
-    env: &Env,
-    sink: &mut dyn FnMut(&Env) -> Result<()>,
-) -> Result<()> {
-    if idx == body.len() {
-        return sink(env);
-    }
-    match &body[idx] {
-        Literal::Pos(atom) => {
-            let rel = rels[idx].expect("positive literal has a resolved id");
-            let use_delta = delta_at == Some(idx);
-            let iter: Box<dyn Iterator<Item = &SharedTuple>> = if use_delta {
-                Box::new(delta.expect("delta db").relation(rel))
-            } else {
-                Box::new(db.relation(rel))
-            };
-            for tuple in iter {
-                if !atom_matches_bound(atom, tuple, env) {
-                    continue;
-                }
-                let mut env2 = env.clone();
-                if match_atom(atom, tuple, &mut env2) {
-                    eval_body_id(body, rels, idx + 1, db, delta_at, delta, &env2, sink)?;
-                }
-            }
-            Ok(())
+    ix: &mut RunIndexes,
+) -> (usize, Access) {
+    let mut best = (f64::INFINITY, first, Access::Scan);
+    for i in (first..body.len()).filter(|&i| !placed[i]) {
+        let (Literal::Pos(atom), Some(rel)) = (&body[i], rels[i]) else {
+            continue;
+        };
+        let cols: Vec<usize> = (0..atom.args.len())
+            .filter(|&c| match &atom.args[c] {
+                Term::Const(_) => true,
+                Term::Var(v) => bound.contains(v.as_str()),
+            })
+            .collect();
+        let size = db.len_of(rel) as f64;
+        let (cost, access) = if cols.is_empty() || size == 0.0 {
+            (size, Access::Scan)
+        } else {
+            let k = ix.ensure(db, rel, &cols);
+            let keys = ix.get(rel, k).keys().max(1);
+            (size / keys as f64, Access::Probe(k))
+        };
+        if cost < best.0 {
+            best = (cost, i, access);
         }
-        Literal::Neg(atom) => {
-            let rel = rels[idx].expect("negative literal has a resolved id");
-            let mut probe = Vec::with_capacity(atom.args.len());
-            for t in &atom.args {
-                match t {
-                    Term::Const(c) => probe.push(c.clone()),
-                    Term::Var(v) => {
-                        probe.push(env.get(v).cloned().ok_or_else(|| NdlogError::Eval {
-                            msg: format!("unbound var {v} in negation"),
-                        })?)
+    }
+    (best.1, best.2)
+}
+
+/// Plan a rule body for one pass over `db`: the delta atom (if any)
+/// first; then, while the first unplaced literal is an assignment,
+/// comparison or negation, that literal; otherwise the
+/// [`cheapest_atom`], whose indexes are built in `ix` as their patterns
+/// are considered.
+///
+/// A non-atom literal is placed only after every literal before it.
+/// Bodies come from [`analyze`] in a safe order, so the literal's inputs
+/// are bound by then, and it sees only bindings that a source-order join
+/// would also give it: a partial expression (division, a builtin) fails
+/// under the plan only where it fails in source order too.  Reordering
+/// atoms never changes the set of complete bindings a body yields: every
+/// atom's tuple is determined by the binding, so each firing is
+/// enumerated exactly once under any order.
+fn plan_body(
+    body: &[Literal],
+    rels: &[Option<RelId>],
+    delta_at: Option<usize>,
+    db: &IdDatabase,
+    ix: &mut RunIndexes,
+) -> Vec<Step> {
+    let mut placed = vec![false; body.len()];
+    let mut bound: BTreeSet<&str> = BTreeSet::new();
+    let mut steps = Vec::with_capacity(body.len());
+    let mut next = delta_at.map(|d| (d, Access::Delta));
+    while let Some(first) = placed.iter().position(|&p| !p) {
+        let (i, access) = next.take().unwrap_or_else(|| match &body[first] {
+            Literal::Pos(_) => cheapest_atom(body, rels, &placed, first, &bound, db, ix),
+            _ => (first, Access::Scan),
+        });
+        placed[i] = true;
+        match &body[i] {
+            Literal::Pos(a) => bound.extend(a.args.iter().filter_map(|t| match t {
+                Term::Var(v) => Some(v.as_str()),
+                Term::Const(_) => None,
+            })),
+            Literal::Assign(v, _) => {
+                bound.insert(v.as_str());
+            }
+            _ => {}
+        }
+        steps.push(Step { lit: i, access });
+    }
+    steps
+}
+
+/// One rule body bound to a plan and the stores it reads.  Atom
+/// predicates resolve through `rels` (aligned to `body`, `Some` exactly at
+/// atom literals).
+struct Join<'a> {
+    body: &'a [Literal],
+    rels: &'a [Option<RelId>],
+    steps: &'a [Step],
+    db: &'a IdDatabase,
+    delta: Option<&'a IdDatabase>,
+    ix: &'a RunIndexes,
+}
+
+impl Join<'_> {
+    /// Call `sink` with every complete environment of the body.
+    fn run(&self, sink: &mut dyn FnMut(&Env) -> Result<()>) -> Result<()> {
+        self.step(0, &Env::new(), &mut Vec::new(), sink)
+    }
+
+    /// The values of `terms` under `env`, into `out`.
+    fn ground<'t>(
+        terms: impl Iterator<Item = &'t Term>,
+        env: &Env,
+        out: &mut Vec<Value>,
+    ) -> Result<()> {
+        out.clear();
+        for t in terms {
+            out.push(match t {
+                Term::Const(c) => c.clone(),
+                Term::Var(v) => env.get(v).cloned().ok_or_else(|| NdlogError::Eval {
+                    msg: format!("unbound var {v}"),
+                })?,
+            });
+        }
+        Ok(())
+    }
+
+    /// Run plan step `k` onward under `env`.  `key` is scratch space for
+    /// probe keys, free again once a probe has returned its bucket.
+    fn step(
+        &self,
+        k: usize,
+        env: &Env,
+        key: &mut Vec<Value>,
+        sink: &mut dyn FnMut(&Env) -> Result<()>,
+    ) -> Result<()> {
+        let Some(step) = self.steps.get(k) else {
+            return sink(env);
+        };
+        match &self.body[step.lit] {
+            Literal::Pos(atom) => {
+                let rel = self.rels[step.lit].expect("positive literal has a resolved id");
+                let tuples = match step.access {
+                    Access::Scan => self.db.set(rel),
+                    Access::Delta => self.delta.expect("delta db").set(rel),
+                    Access::Probe(i) => {
+                        let ix = self.ix.get(rel, i);
+                        Self::ground(ix.cols().iter().map(|&c| &atom.args[c]), env, key)?;
+                        ix.get(key)
+                    }
+                };
+                for tuple in tuples.into_iter().flatten() {
+                    if !atom_matches_bound(atom, tuple, env) {
+                        continue;
+                    }
+                    let mut env2 = env.clone();
+                    if match_atom(atom, tuple, &mut env2) {
+                        self.step(k + 1, &env2, key, sink)?;
+                    }
+                }
+                Ok(())
+            }
+            Literal::Neg(atom) => {
+                let rel = self.rels[step.lit].expect("negative literal has a resolved id");
+                Self::ground(atom.args.iter(), env, key)?;
+                if !self.db.contains(rel, key) {
+                    self.step(k + 1, env, key, sink)?;
+                }
+                Ok(())
+            }
+            Literal::Assign(v, e) => {
+                let val = eval_expr(e, env)?;
+                match env.get(v) {
+                    Some(bound) if *bound != val => Ok(()), // equality check fails
+                    Some(_) => self.step(k + 1, env, key, sink),
+                    None => {
+                        let mut env2 = env.clone();
+                        env2.insert(v.clone(), val);
+                        self.step(k + 1, &env2, key, sink)
                     }
                 }
             }
-            if !db.contains(rel, &probe) {
-                eval_body_id(body, rels, idx + 1, db, delta_at, delta, env, sink)?;
-            }
-            Ok(())
-        }
-        Literal::Assign(v, e) => {
-            let val = eval_expr(e, env)?;
-            match env.get(v) {
-                Some(bound) if *bound != val => Ok(()), // equality check fails
-                Some(_) => eval_body_id(body, rels, idx + 1, db, delta_at, delta, env, sink),
-                None => {
-                    let mut env2 = env.clone();
-                    env2.insert(v.clone(), val);
-                    eval_body_id(body, rels, idx + 1, db, delta_at, delta, &env2, sink)
+            Literal::Cmp(a, op, b) => {
+                let va = eval_expr(a, env)?;
+                let vb = eval_expr(b, env)?;
+                if op.eval(&va, &vb) {
+                    self.step(k + 1, env, key, sink)?;
                 }
+                Ok(())
             }
-        }
-        Literal::Cmp(a, op, b) => {
-            let va = eval_expr(a, env)?;
-            let vb = eval_expr(b, env)?;
-            if op.eval(&va, &vb) {
-                eval_body_id(body, rels, idx + 1, db, delta_at, delta, env, sink)?;
-            }
-            Ok(())
         }
     }
 }
@@ -477,6 +672,31 @@ struct IdRule<'a> {
     body: Vec<Option<RelId>>,
 }
 
+impl IdRule<'_> {
+    /// Plan this rule's body for one pass (see [`plan_body`]).
+    fn plan(&self, delta_at: Option<usize>, db: &IdDatabase, ix: &mut RunIndexes) -> Vec<Step> {
+        plan_body(&self.rule.body, &self.body, delta_at, db, ix)
+    }
+
+    /// This rule's body bound to `steps` and the stores it reads.
+    fn join<'a>(
+        &'a self,
+        steps: &'a [Step],
+        db: &'a IdDatabase,
+        delta: Option<&'a IdDatabase>,
+        ix: &'a RunIndexes,
+    ) -> Join<'a> {
+        Join {
+            body: &self.rule.body,
+            rels: &self.body,
+            steps,
+            db,
+            delta,
+            ix,
+        }
+    }
+}
+
 fn compile_id_rules<'a>(rules: &[&'a Rule], symbols: &Symbols) -> Vec<IdRule<'a>> {
     let resolve = |pred: &str| {
         symbols
@@ -500,10 +720,13 @@ fn compile_id_rules<'a>(rules: &[&'a Rule], symbols: &Symbols) -> Vec<IdRule<'a>
         .collect()
 }
 
-/// Evaluate an aggregate rule whose body refers only to lower strata.
+/// Evaluate an aggregate rule whose body refers only to lower strata,
+/// joining its body along `steps`.
 fn eval_agg_rule_id(
     rule: &IdRule<'_>,
+    steps: &[Step],
     db: &mut IdDatabase,
+    ix: &mut RunIndexes,
     stats: &mut EvalStats,
     deriv_sink: &Counter,
 ) -> Result<()> {
@@ -540,16 +763,7 @@ fn eval_agg_rule_id(
         }
         Ok(())
     };
-    eval_body_id(
-        &rule.rule.body,
-        &rule.body,
-        0,
-        db,
-        None,
-        None,
-        &Env::new(),
-        &mut sink,
-    )?;
+    rule.join(steps, db, None, ix).run(&mut sink)?;
 
     for (key, accs) in groups {
         let mut ki = 0usize;
@@ -568,7 +782,7 @@ fn eval_agg_rule_id(
             }
         }
         count_derivation(&mut stats.derivations, deriv_sink);
-        if db.insert(rule.head, SharedTuple::from(out)) {
+        if ix.insert(db, rule.head, SharedTuple::from(out)) {
             stats.new_tuples += 1;
         }
     }
@@ -654,16 +868,31 @@ impl Evaluator {
     }
 
     /// Run semi-naive evaluation to fixpoint over `db`, in place.
+    ///
+    /// Each rule body is joined along a cost-ordered plan made at the seed
+    /// pass and at the start of every round (the delta atom first, then
+    /// the atom with the smallest expected bucket, each filter as soon as
+    /// every literal before it is placed), probing hash indexes that live
+    /// for this one call.  Plans change which partial bindings are
+    /// enumerated first, never which firings happen, so [`EvalStats`]
+    /// equals that of a source-order join.
     pub fn run(&self, db: &mut IdDatabase) -> Result<EvalStats> {
         let mut stats = EvalStats::default();
+        let mut ix = RunIndexes::default();
         for s in 0..self.analysis.num_strata {
-            self.run_stratum(s, db, &mut stats)?;
+            self.run_stratum(s, db, &mut ix, &mut stats)?;
         }
         Ok(stats)
     }
 
     /// Evaluate a single stratum to fixpoint.
-    fn run_stratum(&self, s: usize, db: &mut IdDatabase, stats: &mut EvalStats) -> Result<()> {
+    fn run_stratum(
+        &self,
+        s: usize,
+        db: &mut IdDatabase,
+        ix: &mut RunIndexes,
+        stats: &mut EvalStats,
+    ) -> Result<()> {
         let (agg_rules, plain_rules) = self.stratum_rules(s);
         if agg_rules.is_empty() && plain_rules.is_empty() {
             return Ok(());
@@ -672,7 +901,8 @@ impl Evaluator {
 
         // Aggregates first: their bodies only see lower strata (stratification).
         for r in &agg_rules {
-            eval_agg_rule_id(r, db, stats, &self.metrics.derivations)?;
+            let steps = r.plan(None, db, ix);
+            eval_agg_rule_id(r, &steps, db, ix, stats, &self.metrics.derivations)?;
         }
 
         // Which predicates are recursive within this stratum?
@@ -682,10 +912,11 @@ impl Evaluator {
             .map(|r| r.head)
             .collect();
 
-        // Initial pass (naive over current db) to seed the delta.
+        // Initial pass (every rule over the current db) to seed the delta.
         let mut delta = IdDatabase::new();
         for r in &plain_rules {
             let head = &r.rule.head;
+            let steps = r.plan(None, db, ix);
             let mut sink = |env: &Env| -> Result<()> {
                 let t = instantiate_head(head, env)?;
                 count_derivation(&mut stats.derivations, &self.metrics.derivations);
@@ -694,16 +925,7 @@ impl Evaluator {
                 }
                 Ok(())
             };
-            eval_body_id(
-                &r.rule.body,
-                &r.body,
-                0,
-                db,
-                None,
-                None,
-                &Env::new(),
-                &mut sink,
-            )?;
+            r.join(&steps, db, None, ix).run(&mut sink)?;
         }
 
         // Recursive positive occurrences per rule (invariant across rounds).
@@ -735,11 +957,11 @@ impl Evaluator {
                     msg: format!("iteration limit exceeded in stratum {s}"),
                 });
             }
-            // Absorb delta into db.
+            // Absorb delta into db (and the run's indexes).
             for i in 0..delta.num_rels() {
                 let rel = RelId::from_index(i);
                 for t in delta.relation(rel) {
-                    if db.insert(rel, t.clone()) {
+                    if ix.insert(db, rel, t.clone()) {
                         stats.new_tuples += 1;
                     }
                 }
@@ -751,6 +973,7 @@ impl Evaluator {
             for (r, positions) in &rec_positions {
                 let head = &r.rule.head;
                 for &pos in positions {
+                    let steps = r.plan(Some(pos), db, ix);
                     let mut sink = |env: &Env| -> Result<()> {
                         let t = instantiate_head(head, env)?;
                         count_derivation(&mut stats.derivations, &self.metrics.derivations);
@@ -759,16 +982,7 @@ impl Evaluator {
                         }
                         Ok(())
                     };
-                    eval_body_id(
-                        &r.rule.body,
-                        &r.body,
-                        0,
-                        db,
-                        Some(pos),
-                        Some(&delta),
-                        &Env::new(),
-                        &mut sink,
-                    )?;
+                    r.join(&steps, db, Some(&delta), ix).run(&mut sink)?;
                 }
             }
             delta = next;
@@ -785,13 +999,26 @@ impl Evaluator {
         Ok(())
     }
 
-    /// Reference naive evaluation (used to cross-check semi-naive).
+    /// Reference naive evaluation (used to cross-check semi-naive): every
+    /// body joined in source order by full scans, with no index and no
+    /// plan, so it shares nothing with [`run`](Self::run) but the
+    /// per-literal semantics.
     pub fn run_naive(&self, db: &mut IdDatabase) -> Result<EvalStats> {
         let mut stats = EvalStats::default();
+        // Stays empty: source-order steps never probe.
+        let mut no_ix = RunIndexes::default();
         for s in 0..self.analysis.num_strata {
             let (agg_rules, plain_rules) = self.stratum_rules(s);
             for r in &agg_rules {
-                eval_agg_rule_id(r, db, &mut stats, &self.metrics.derivations)?;
+                let steps = source_order(&r.rule.body);
+                eval_agg_rule_id(
+                    r,
+                    &steps,
+                    db,
+                    &mut no_ix,
+                    &mut stats,
+                    &self.metrics.derivations,
+                )?;
             }
             let mut iter = 0usize;
             loop {
@@ -806,6 +1033,7 @@ impl Evaluator {
                 let mut new = Vec::new();
                 for r in &plain_rules {
                     let head = &r.rule.head;
+                    let steps = source_order(&r.rule.body);
                     let mut sink = |env: &Env| -> Result<()> {
                         let t = instantiate_head(head, env)?;
                         count_derivation(&mut stats.derivations, &self.metrics.derivations);
@@ -814,16 +1042,7 @@ impl Evaluator {
                         }
                         Ok(())
                     };
-                    eval_body_id(
-                        &r.rule.body,
-                        &r.body,
-                        0,
-                        db,
-                        None,
-                        None,
-                        &Env::new(),
-                        &mut sink,
-                    )?;
+                    r.join(&steps, db, None, &no_ix).run(&mut sink)?;
                 }
                 if new.is_empty() {
                     break;
@@ -864,7 +1083,17 @@ pub fn derive_rule_id(rule: &Rule, db: &IdDatabase, symbols: &Symbols) -> Result
         out.push(instantiate_head(head, env)?.into());
         Ok(())
     };
-    eval_body_id(&rule.body, &rels, 0, db, None, None, &Env::new(), &mut sink)?;
+    let steps = source_order(&rule.body);
+    let no_ix = RunIndexes::default();
+    Join {
+        body: &rule.body,
+        rels: &rels,
+        steps: &steps,
+        db,
+        delta: None,
+        ix: &no_ix,
+    }
+    .run(&mut sink)?;
     Ok(out)
 }
 
@@ -1023,6 +1252,132 @@ mod tests {
     fn arithmetic_errors_surface() {
         let prog = parse_program("a p(X) :- q(Y), X = Y / 0. q(1).").unwrap();
         assert!(eval_program(&prog).is_err());
+    }
+
+    #[test]
+    fn run_index_probe_equals_filtered_scan() {
+        let e = RelId::from_index(0);
+        let tup = |a: i64, b: i64| SharedTuple::from(vec![Value::Int(a), Value::Int(b)]);
+        let mut db = IdDatabase::new();
+        for (a, b) in [(1, 2), (1, 3), (2, 3)] {
+            db.insert(e, tup(a, b));
+        }
+        let mut ix = RunIndexes::default();
+        let k = ix.ensure(&db, e, &[1]);
+        let agree = |ix: &RunIndexes, db: &IdDatabase| {
+            for v in 0..6 {
+                let key = [Value::Int(v)];
+                let probe: Vec<&SharedTuple> =
+                    ix.get(e, k).get(&key).into_iter().flatten().collect();
+                let scan: Vec<&SharedTuple> = db.relation(e).filter(|t| t[1] == key[0]).collect();
+                assert_eq!(probe, scan, "column 1 = {v}");
+            }
+        };
+        // Back-filled from the tuples already stored.
+        agree(&ix, &db);
+        // Extended as deltas are absorbed; a duplicate is not re-added.
+        for (a, b) in [(3, 3), (4, 2), (1, 3), (5, 5)] {
+            ix.insert(&mut db, e, tup(a, b));
+        }
+        agree(&ix, &db);
+        assert_eq!(ix.get(e, k).keys(), 3);
+        assert_eq!(ix.ensure(&db, e, &[1]), k, "one index per pattern");
+    }
+
+    #[test]
+    fn plan_puts_delta_first_then_filters_then_the_smallest_bucket() {
+        let rule = crate::parser::parse_rule(
+            "r h(S,D,C) :- magic(S,D), link(S,Z,C1), reach(Z,D,C2), C = C1 + C2, C < 9.",
+        )
+        .unwrap();
+        let (magic, link, reach) = (
+            RelId::from_index(0),
+            RelId::from_index(1),
+            RelId::from_index(2),
+        );
+        let rels = [Some(magic), Some(link), Some(reach), None, None];
+        let tup =
+            |vs: &[u32]| SharedTuple::from(vs.iter().map(|&v| Value::Addr(v)).collect::<Tuple>());
+        let mut db = IdDatabase::new();
+        // Every demanded `magic(S,D)` shares one D, while `link` has one
+        // key per Z: the shape of a magic-set point query.
+        for s in 0..20 {
+            db.insert(magic, tup(&[s, 7]));
+            db.insert(link, tup(&[s, s + 1, 1]));
+            db.insert(reach, tup(&[s + 1, 7, 1]));
+        }
+        let order = |steps: &[Step]| steps.iter().map(|s| (s.lit, s.access)).collect::<Vec<_>>();
+        let mut ix = RunIndexes::default();
+        // Delta on `reach` binds Z and D.  `link` probed on Z (20 keys, 1
+        // tuple each) beats `magic` probed on D (one key of 20).  `magic`
+        // comes next, probed on both columns; the assignment and the
+        // comparison wait for it, as it precedes them in the body.
+        let steps = plan_body(&rule.body, &rels, Some(2), &db, &mut ix);
+        assert_eq!(
+            order(&steps),
+            vec![
+                (2, Access::Delta),
+                (1, Access::Probe(0)),
+                (0, Access::Probe(1)),
+                (3, Access::Scan),
+                (4, Access::Scan),
+            ]
+        );
+        assert_eq!(ix.get(link, 0).cols(), &[1]);
+        assert_eq!(ix.get(magic, 0).cols(), &[1]);
+        assert_eq!(ix.get(magic, 1).cols(), &[0, 1]);
+        // No delta: all three relations cost 20 unbound, and source order
+        // breaks the tie.
+        let steps = plan_body(&rule.body, &rels, None, &db, &mut ix);
+        assert_eq!(steps[0].lit, 0);
+        assert_eq!(steps[0].access, Access::Scan);
+        // A filter waits for every literal before it, then goes ahead of
+        // the atoms after it: `p` (1 tuple) is scanned before `g` (2), but
+        // `Z = X / Y` runs only once `g` has been probed on Y.
+        let guarded =
+            crate::parser::parse_rule("r h(X,Z) :- g(Y), p(X,Y), Z = X / Y, q(Z).").unwrap();
+        let (g, p, q) = (magic, link, reach);
+        let mut db = IdDatabase::new();
+        db.insert(g, tup(&[1]));
+        db.insert(g, tup(&[2]));
+        db.insert(p, tup(&[5, 0]));
+        for z in 0..3 {
+            db.insert(q, tup(&[z]));
+        }
+        let mut ix = RunIndexes::default();
+        let steps = plan_body(
+            &guarded.body,
+            &[Some(g), Some(p), None, Some(q)],
+            None,
+            &db,
+            &mut ix,
+        );
+        assert_eq!(
+            order(&steps),
+            vec![
+                (1, Access::Scan),
+                (0, Access::Probe(0)),
+                (2, Access::Scan),
+                (3, Access::Probe(0)),
+            ]
+        );
+    }
+
+    #[test]
+    fn plan_never_runs_a_filter_ahead_of_its_guard() {
+        // `p` is the smaller relation, so the plan scans it first; its only
+        // tuple has Y = 0, which `g` rejects before `X / Y` is computed.
+        let prog =
+            parse_program("r h(X,Z) :- g(Y), p(X,Y), Z = X / Y. g(1). g(2). p(5,0).").unwrap();
+        let ev = Evaluator::new(&prog).unwrap();
+        let mut planned = ev.base_database(&prog);
+        let mut naive = planned.clone();
+        ev.run(&mut planned).unwrap();
+        ev.run_naive(&mut naive).unwrap();
+        assert_eq!(planned, naive);
+        let h = ev.symbols().lookup("h").unwrap();
+        assert_eq!(planned.len_of(h), 0);
+        assert!(eval_program(&prog).is_ok());
     }
 
     #[test]

@@ -67,6 +67,7 @@ use crate::eval::{EvalOptions, Evaluator, IdDatabase};
 use crate::safety::Analysis;
 use crate::symbols::RelId;
 use crate::value::{SharedTuple, Tuple, Value};
+use fvn_telemetry::{Histogram, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -256,6 +257,21 @@ pub struct QueryEngine {
     agg_cols: Arc<BTreeMap<String, BTreeSet<usize>>>,
     opts: EvalOptions,
     plans: PlanCache,
+    metrics: QueryMetrics,
+}
+
+/// Pre-resolved phase timers of the query path (no-op sinks by default).
+///
+/// Plan evaluators keep the no-op sink: a query's firings and rounds are
+/// reported in [`QueryStats`], never in the session's
+/// `ndlog_derivations_total` / `ndlog_eval_rounds_total`.
+#[derive(Debug, Clone, Default)]
+struct QueryMetrics {
+    /// `ndlog_phase_query_seed_ns`: feeding external tuples (and the magic
+    /// seed) into the scratch database.
+    seed: Histogram,
+    /// `ndlog_phase_query_eval_ns`: running the plan over it.
+    eval: Histogram,
 }
 
 impl Clone for QueryEngine {
@@ -269,6 +285,7 @@ impl Clone for QueryEngine {
             agg_cols: Arc::clone(&self.agg_cols),
             opts: self.opts,
             plans: Mutex::new(plans),
+            metrics: self.metrics.clone(),
         }
     }
 }
@@ -319,7 +336,19 @@ impl QueryEngine {
             agg_cols: Arc::new(agg_cols),
             opts,
             plans: Mutex::new(BTreeMap::new()),
+            metrics: QueryMetrics::default(),
         }
+    }
+
+    /// Route this engine's phase timers into `t`: resolving against an
+    /// enabled [`Telemetry`] registers `ndlog_phase_query_seed_ns` and
+    /// `ndlog_phase_query_eval_ns`.
+    pub fn with_telemetry(mut self, t: &Telemetry) -> Self {
+        self.metrics = QueryMetrics {
+            seed: t.histogram("ndlog_phase_query_seed_ns"),
+            eval: t.histogram("ndlog_phase_query_eval_ns"),
+        };
+        self
     }
 
     /// Number of compiled plans currently cached.
@@ -351,12 +380,14 @@ impl QueryEngine {
         if !self.idb.contains(q.pred()) {
             let mut tuples = Vec::new();
             let mut seeded = 0usize;
+            let span = self.metrics.seed.start_timer();
             feed(q.pred(), &mut |t| {
                 seeded += 1;
                 if q.matches(&t) {
                     tuples.push(t.to_tuple());
                 }
             });
+            span.stop();
             tuples.sort();
             tuples.dedup();
             let stats = QueryStats {
@@ -706,6 +737,7 @@ impl QueryEngine {
         q: &Query,
         feed: &mut dyn FnMut(&str, &mut dyn FnMut(SharedTuple)),
     ) -> Result<QueryResult> {
+        let seed_span = self.metrics.seed.start_timer();
         let mut db = IdDatabase::new();
         let mut seeded = 0usize;
         for (src, dst) in &plan.feeds {
@@ -726,7 +758,11 @@ impl QueryEngine {
                 .collect();
             db.insert(*magic, SharedTuple::from(vals));
         }
-        let ev_stats = plan.ev.run(&mut db)?;
+        seed_span.stop();
+        let ev_stats = {
+            let _span = self.metrics.eval.start_timer();
+            plan.ev.run(&mut db)?
+        };
         let tuples: Vec<Tuple> = db
             .relation(plan.root)
             .filter(|t| q.matches(t))

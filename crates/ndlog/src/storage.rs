@@ -73,12 +73,100 @@ impl Support {
     }
 }
 
+/// A hash index of one relation on one column set: the key values at
+/// `cols` → the tuples carrying them.
+///
+/// The crate's one index type.  [`RelationStorage`] keeps one per join
+/// pattern the incremental rules register, over its visible tuples; the
+/// from-scratch kernel ([`crate::eval::Evaluator::run`]) builds them per
+/// run, beside its [`IdDatabase`](crate::eval::IdDatabase), on the column
+/// sets its join plans probe.  Tuples shorter than a column are left out.
+#[derive(Debug, Clone)]
+pub(crate) struct HashIndex {
+    /// Sorted argument positions.
+    cols: Vec<usize>,
+    buckets: HashMap<Vec<Value>, BTreeSet<SharedTuple>>,
+}
+
+impl HashIndex {
+    /// An index on `cols` (sorted argument positions) back-filled from
+    /// `tuples`.
+    pub(crate) fn build<'a>(
+        cols: &[usize],
+        tuples: impl IntoIterator<Item = &'a SharedTuple>,
+    ) -> Self {
+        let mut ix = HashIndex {
+            cols: cols.to_vec(),
+            buckets: HashMap::new(),
+        };
+        for t in tuples {
+            ix.insert(t);
+        }
+        ix
+    }
+
+    /// The indexed column set.
+    pub(crate) fn cols(&self) -> &[usize] {
+        &self.cols
+    }
+
+    /// The tuple's key, allocated at its exact length (keys are stored).
+    fn key(&self, tuple: &[Value]) -> Option<Vec<Value>> {
+        let fits = self.cols.iter().all(|&c| c < tuple.len());
+        fits.then(|| self.cols.iter().map(|&c| tuple[c].clone()).collect())
+    }
+
+    /// Add a tuple under its key.
+    pub(crate) fn insert(&mut self, tuple: &SharedTuple) {
+        if let Some(key) = self.key(tuple) {
+            self.buckets.entry(key).or_default().insert(tuple.clone());
+        }
+    }
+
+    /// Remove a tuple, dropping its bucket once empty.
+    pub(crate) fn remove(&mut self, tuple: &SharedTuple) {
+        if let Some(key) = self.key(tuple) {
+            if let Some(set) = self.buckets.get_mut(&key) {
+                set.remove(tuple);
+                if set.is_empty() {
+                    self.buckets.remove(&key);
+                }
+            }
+        }
+    }
+
+    /// The tuples whose values at the indexed columns equal `key`.
+    pub(crate) fn get(&self, key: &[Value]) -> Option<&BTreeSet<SharedTuple>> {
+        self.buckets.get(key)
+    }
+
+    /// Number of distinct keys (non-empty buckets).
+    pub(crate) fn keys(&self) -> usize {
+        self.buckets.len()
+    }
+
+    /// Approximate footprint: key values plus one reference per entry.
+    fn approx_bytes(&self) -> usize {
+        self.buckets
+            .iter()
+            .map(|(key, set)| {
+                key.len() * std::mem::size_of::<Value>()
+                    + set.len() * std::mem::size_of::<SharedTuple>()
+            })
+            .sum()
+    }
+}
+
 /// One stored relation: supports, indexes, and batch delta sets.
 #[derive(Debug, Clone, Default)]
 struct StoredRelation {
     support: BTreeMap<SharedTuple, Support>,
-    /// Column set (sorted positions) → key values → visible tuples.
-    indexes: HashMap<Vec<usize>, HashMap<Vec<Value>, BTreeSet<SharedTuple>>>,
+    /// Number of `support` entries with positive external multiplicity,
+    /// so [`RelationStorage::external_id`] can stop (or skip the walk)
+    /// once it has yielded them all.
+    external: usize,
+    /// Hash indexes over the visible tuples, one per registered column set.
+    indexes: Vec<HashIndex>,
     appeared: BTreeSet<SharedTuple>,
     disappeared: BTreeSet<SharedTuple>,
     /// Derived tuples homed at *another* node (distributed mode): support is
@@ -91,27 +179,8 @@ struct StoredRelation {
 }
 
 impl StoredRelation {
-    fn index_add(&mut self, tuple: &SharedTuple) {
-        for (cols, map) in self.indexes.iter_mut() {
-            if cols.iter().all(|&c| c < tuple.len()) {
-                let key: Vec<Value> = cols.iter().map(|&c| tuple[c].clone()).collect();
-                map.entry(key).or_default().insert(tuple.clone());
-            }
-        }
-    }
-
-    fn index_remove(&mut self, tuple: &SharedTuple) {
-        for (cols, map) in self.indexes.iter_mut() {
-            if cols.iter().all(|&c| c < tuple.len()) {
-                let key: Vec<Value> = cols.iter().map(|&c| tuple[c].clone()).collect();
-                if let Some(set) = map.get_mut(&key) {
-                    set.remove(tuple);
-                    if set.is_empty() {
-                        map.remove(&key);
-                    }
-                }
-            }
-        }
+    fn index(&self, cols: &[usize]) -> Option<&HashIndex> {
+        self.indexes.iter().find(|ix| ix.cols() == cols)
     }
 }
 
@@ -220,21 +289,17 @@ impl RelationStorage {
     /// `rel`.  Idempotent; an empty column set is ignored (that case is a
     /// full scan by definition).  Existing visible tuples are back-filled.
     pub fn register_index_id(&mut self, rel: RelId, cols: &[usize]) {
-        if cols.is_empty() {
-            return;
-        }
         let r = &mut self.rels[rel.index()];
-        if r.indexes.contains_key(cols) {
+        if cols.is_empty() || r.index(cols).is_some() {
             return;
         }
-        let mut map: HashMap<Vec<Value>, BTreeSet<SharedTuple>> = HashMap::new();
-        for (t, s) in &r.support {
-            if s.visible() && cols.iter().all(|&c| c < t.len()) {
-                let key: Vec<Value> = cols.iter().map(|&c| t[c].clone()).collect();
-                map.entry(key).or_default().insert(t.clone());
-            }
-        }
-        r.indexes.insert(cols.to_vec(), map);
+        let visible = r
+            .support
+            .iter()
+            .filter(|(_, s)| s.visible())
+            .map(|(t, _)| t);
+        let ix = HashIndex::build(cols, visible);
+        r.indexes.push(ix);
     }
 
     /// Enter distributed mode: derived tuples whose location attribute is
@@ -275,39 +340,39 @@ impl RelationStorage {
 
     /// Apply `f` to the support of `tuple` in `map`, inserting only on miss
     /// and removing the entry when both counts return to zero.  Returns the
-    /// visibility transition plus the canonical shared handle of the tuple
-    /// when the transition needs one (marks/indexes); the common no-flip
-    /// case performs exactly one map lookup and **zero** allocations.
+    /// support before and after, plus the canonical shared handle of the
+    /// tuple when the visibility transition needs one (marks/indexes); the
+    /// common no-flip case performs exactly one map lookup and **zero**
+    /// allocations.
     fn apply_support(
         map: &mut BTreeMap<SharedTuple, Support>,
         tuple: &[Value],
         f: impl FnOnce(&mut Support),
-    ) -> (bool, bool, Option<SharedTuple>) {
+    ) -> (Support, Support, Option<SharedTuple>) {
         match map.get_mut(tuple) {
             Some(s) => {
-                let was = s.visible();
+                let before = *s;
                 f(s);
-                let now = s.visible();
-                if s.edb == 0 && s.derived == 0 {
+                let after = *s;
+                if after.edb == 0 && after.derived == 0 {
                     let (k, _) = map.remove_entry(tuple).expect("entry exists");
-                    (was, now, Some(k))
-                } else if was != now {
+                    (before, after, Some(k))
+                } else if before.visible() != after.visible() {
                     let k = map.get_key_value(tuple).expect("entry exists").0.clone();
-                    (was, now, Some(k))
+                    (before, after, Some(k))
                 } else {
-                    (was, now, None)
+                    (before, after, None)
                 }
             }
             None => {
                 let mut s = Support::default();
                 f(&mut s);
-                let now = s.visible();
                 if s.edb != 0 || s.derived != 0 {
                     let k = SharedTuple::from_slice(tuple);
                     map.insert(k.clone(), s);
-                    (false, now, Some(k))
+                    (Support::default(), s, Some(k))
                 } else {
-                    (false, now, None)
+                    (Support::default(), s, None)
                 }
             }
         }
@@ -320,8 +385,13 @@ impl RelationStorage {
         f: impl FnOnce(&mut Support),
     ) -> VisibilityChange {
         let r = &mut self.rels[rel.index()];
-        let (was, now, handle) = Self::apply_support(&mut r.support, tuple, f);
-        let change = match (was, now) {
+        let (before, after, handle) = Self::apply_support(&mut r.support, tuple, f);
+        match (before.edb > 0, after.edb > 0) {
+            (false, true) => r.external += 1,
+            (true, false) => r.external -= 1,
+            _ => {}
+        }
+        let change = match (before.visible(), after.visible()) {
             (false, true) => VisibilityChange::Appeared,
             (true, false) => VisibilityChange::Disappeared,
             _ => VisibilityChange::Unchanged,
@@ -329,16 +399,15 @@ impl RelationStorage {
         if let Some(handle) = handle {
             match change {
                 VisibilityChange::Appeared => {
-                    r.index_add(&handle);
+                    r.indexes.iter_mut().for_each(|ix| ix.insert(&handle));
                     self.visible_total += 1;
                 }
                 VisibilityChange::Disappeared => {
-                    r.index_remove(&handle);
+                    r.indexes.iter_mut().for_each(|ix| ix.remove(&handle));
                     self.visible_total -= 1;
                 }
                 VisibilityChange::Unchanged => {}
             }
-            let r = &mut self.rels[rel.index()];
             mark_change(&mut r.appeared, &mut r.disappeared, &handle, change);
         }
         change
@@ -353,8 +422,8 @@ impl RelationStorage {
         f: impl FnOnce(&mut Support),
     ) -> VisibilityChange {
         let r = &mut self.rels[rel.index()];
-        let (was, now, handle) = Self::apply_support(&mut r.exported_support, tuple, f);
-        let change = match (was, now) {
+        let (before, after, handle) = Self::apply_support(&mut r.exported_support, tuple, f);
+        let change = match (before.visible(), after.visible()) {
             (false, true) => {
                 self.exported_total += 1;
                 VisibilityChange::Appeared
@@ -366,7 +435,6 @@ impl RelationStorage {
             _ => VisibilityChange::Unchanged,
         };
         if let Some(handle) = handle {
-            let r = &mut self.rels[rel.index()];
             mark_change(
                 &mut r.exported_appeared,
                 &mut r.exported_disappeared,
@@ -448,16 +516,17 @@ impl RelationStorage {
 
     /// Externally-supported tuples of a relation (positive base
     /// multiplicity), in deterministic order: ground facts and asserted
-    /// churn, not derivations.  One pass over the support map — this is
-    /// the seed set of the demand-driven query path, where a
-    /// per-tuple [`edb_count_id`](Self::edb_count_id) re-probe would pay
-    /// an extra logarithmic lookup per visible tuple.
+    /// churn, not derivations.  This is the seed set of the demand-driven
+    /// query path.  The relation counts its externally-supported tuples,
+    /// so the walk over the support map stops after the last of them, and
+    /// a purely derived relation yields nothing without walking at all.
     pub fn external_id(&self, rel: RelId) -> impl Iterator<Item = &SharedTuple> {
-        self.rel(rel)
-            .support
+        let r = self.rel(rel);
+        r.support
             .iter()
             .filter(|(_, s)| s.edb > 0)
             .map(|(t, _)| t)
+            .take(r.external)
     }
 
     /// Number of visible tuples of a relation.
@@ -495,12 +564,11 @@ impl RelationStorage {
                     bytes += ENTRY_OVERHEAD + tuple.len() * std::mem::size_of::<Value>();
                 }
             }
-            for map in rel.indexes.values() {
-                for (key, set) in map {
-                    bytes += key.len() * std::mem::size_of::<Value>();
-                    bytes += set.len() * std::mem::size_of::<SharedTuple>();
-                }
-            }
+            bytes += rel
+                .indexes
+                .iter()
+                .map(HashIndex::approx_bytes)
+                .sum::<usize>();
         }
         bytes
     }
@@ -584,10 +652,7 @@ impl RelationStorage {
     ) {
         let dm = minus.and_then(|m| m.get(&rel));
         let r = self.rel(rel);
-        let from_index = (!cols.is_empty())
-            .then(|| r.indexes.get(cols))
-            .flatten()
-            .map(|ix| ix.get(key));
+        let from_index = r.index(cols).map(|ix| ix.get(key));
         match from_index {
             Some(bucket) => {
                 for t in bucket.into_iter().flatten() {
@@ -891,6 +956,76 @@ mod tests {
         let db = s.to_database();
         assert_eq!(db.len_of("p"), 1);
         assert!(db.contains("p", &t(&[1])));
+    }
+
+    #[test]
+    fn external_count_tracks_edb_support() {
+        let mut s = RelationStorage::new();
+        let p = s.rel_id("p");
+        // (stored count, what `external_id` yields, an independent filter)
+        let ext = |s: &RelationStorage| {
+            let by_probe = s.visible_id(p).filter(|u| s.edb_count_id(p, u) > 0).count();
+            (
+                s.rels[p.index()].external,
+                s.external_id(p).count(),
+                by_probe,
+            )
+        };
+        s.add_edb_id(p, &t(&[1]), 1);
+        s.add_edb_id(p, &t(&[1]), 1); // multiplicity 2: still one tuple
+        s.add_edb_id(p, &t(&[2]), 1);
+        s.add_derived_id(p, &t(&[3]), 1); // derived only: not external
+        assert_eq!(ext(&s), (2, 2, 2));
+        s.add_edb_id(p, &t(&[1]), -1);
+        assert_eq!(ext(&s), (2, 2, 2));
+        s.add_edb_id(p, &t(&[2]), -5); // clamps at 0
+        assert_eq!(ext(&s), (1, 1, 1));
+        s.add_edb_id(p, &t(&[2]), -1); // retracting an absent fact
+        assert_eq!(ext(&s), (1, 1, 1));
+        // Derived support keeps the entry alive after its edb reaches 0.
+        s.add_derived_id(p, &t(&[1]), 1);
+        s.add_edb_id(p, &t(&[1]), -1);
+        assert_eq!(ext(&s), (0, 0, 0));
+        assert!(s.contains_id(p, &t(&[1])));
+        s.add_edb_id(p, &t(&[3]), 2); // a derived tuple asserted too
+        assert_eq!(ext(&s), (1, 1, 1));
+        assert_eq!(s.external_id(p).next().unwrap().values(), &t(&[3])[..]);
+    }
+
+    #[test]
+    fn external_count_survives_snapshot_restore() {
+        use crate::incremental::{IncrementalEngine, TupleDelta};
+        let prog = crate::parser::parse_program(
+            "r1 reachable(S,D) :- link(S,D,C).
+             link(0,1,1).
+             reachable(1,7).",
+        )
+        .unwrap();
+        let mut engine = IncrementalEngine::new(&prog).unwrap();
+        let count = |e: &IncrementalEngine, pred: &str| {
+            let st = e.storage();
+            let rel = st.symbols().lookup(pred).unwrap();
+            (st.rels[rel.index()].external, st.external_id(rel).count())
+        };
+        assert_eq!(count(&engine, "reachable"), (1, 1));
+        assert_eq!(count(&engine, "link"), (1, 1));
+        let snap = engine.snapshot();
+        let delta = |pred: &str, tuple: &[i64], delta| TupleDelta {
+            pred: pred.into(),
+            tuple: t(tuple),
+            delta,
+        };
+        engine
+            .apply(&[
+                delta("reachable", &[1, 7], -1),
+                delta("link", &[2, 3, 1], 1),
+            ])
+            .unwrap();
+        assert_eq!(count(&engine, "reachable"), (0, 0));
+        assert_eq!(count(&engine, "link"), (2, 2));
+        engine.restore(&snap).unwrap();
+        assert_eq!(count(&engine, "reachable"), (1, 1));
+        assert_eq!(count(&engine, "link"), (1, 1));
     }
 
     #[test]

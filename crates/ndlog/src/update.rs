@@ -468,7 +468,7 @@ impl SessionBuilder {
     pub fn build(self) -> Result<Session> {
         let analysis = crate::safety::analyze(&self.prog)?;
         let router = (self.shards > 1).then(|| Arc::new(ShardRouter::new(&analysis, self.shards)));
-        let queries = QueryEngine::new(&analysis, self.opts);
+        let queries = QueryEngine::new(&analysis, self.opts).with_telemetry(&self.telemetry);
         let mut engine = IncrementalEngine::from_analysis(analysis, self.opts);
         engine.set_native_ops(self.native_ops);
         engine.set_sharding(router.clone());
@@ -508,7 +508,7 @@ impl SessionBuilder {
     /// Sharding is ignored (the oracle is the single-threaded reference).
     pub fn oracle(self) -> Result<Session> {
         let ev = Evaluator::with_options(&self.prog, self.opts)?.with_telemetry(&self.telemetry);
-        let queries = QueryEngine::new(ev.analysis(), self.opts);
+        let queries = QueryEngine::new(ev.analysis(), self.opts).with_telemetry(&self.telemetry);
         let symbols = ev.analysis().symbols.clone();
         let mut backend = Backend::Oracle {
             ev,

@@ -16,7 +16,7 @@
 
 use ndlog::ast::{Atom, Term};
 use ndlog::incremental::{IncrementalEngine, TupleDelta};
-use ndlog::{eval_program, Database, Program, Session, Update, Value};
+use ndlog::{eval_program, Database, Evaluator, Program, Query, Session, Update, Value};
 use ndlog_runtime::DistRuntime;
 use netsim::{CrashSchedule, SimConfig, Topology};
 use std::fmt::Write as _;
@@ -284,6 +284,86 @@ fn zset_dense_scc_deletions_match_golden_snapshots() {
             }
         }
     }
+}
+
+/// The from-scratch kernel's work counters, pinned: `EvalStats` of
+/// `Evaluator::run` at every stage of each golden scenario, and the
+/// `QueryStats` of a fixed set of point, partial and scan queries answered
+/// by an incremental session driven through the same churn.  Join order
+/// and index use are execution details of the kernel; every firing, round
+/// and demanded tuple must stay exactly as blessed.
+#[test]
+fn eval_and_query_stats_match_golden_snapshot() {
+    let bless = std::env::var_os("UPDATE_GOLDEN").is_some();
+    let n = Value::Addr;
+    let queries = |name: &str| -> Vec<Query> {
+        match name {
+            "path_vector" => vec![
+                Query::point("bestPathCost", &[n(0), n(4), Value::Int(4)]),
+                Query::on("bestPath").bind(n(0)).bind(n(3)).free().free(),
+                Query::on("path").bind(n(1)).free().free().free(),
+                Query::on("bestPathCost").free().bind(n(2)).free(),
+                Query::scan("bestPath", 4),
+            ],
+            "reachability" => vec![
+                Query::point("reachable", &[n(0), n(3)]),
+                Query::on("reachable").bind(n(2)).free(),
+                Query::on("reachable").free().bind(n(4)),
+                Query::scan("reachable", 2),
+            ],
+            "distance_vector" => vec![
+                Query::point("bestHopCost", &[n(0), n(4), Value::Int(4)]),
+                Query::on("hop").bind(n(0)).bind(n(4)).bind(n(1)).free(),
+                Query::on("bestHop").bind(n(3)).free().free().free(),
+                Query::scan("bestHopCost", 3),
+            ],
+            other => panic!("no queries for scenario {other}"),
+        }
+    };
+    let mut out = String::new();
+    for (name, prog, churn) in scenarios() {
+        let mut session = Session::open(&prog).build().unwrap();
+        let mut stage_prog = prog.clone();
+        for stage in 0..=churn.len() {
+            if stage > 0 {
+                commit(&mut session, &churn[stage - 1]);
+                apply_to_facts(&mut stage_prog, &churn[stage - 1]);
+            }
+            let ev = Evaluator::new(&stage_prog).unwrap();
+            let mut db = ev.base_database(&stage_prog);
+            let s = ev.run(&mut db).unwrap();
+            writeln!(
+                out,
+                "{name} stage {stage} run iterations={} derivations={} new_tuples={}",
+                s.iterations, s.derivations, s.new_tuples
+            )
+            .unwrap();
+            for q in queries(name) {
+                let r = session.query(&q).unwrap();
+                let s = r.stats;
+                writeln!(
+                    out,
+                    "{name} stage {stage} query {q} rewritten={} iterations={} derivations={} \
+                     demanded={} seeded={} answers={}",
+                    s.rewritten, s.iterations, s.derivations, s.demanded, s.seeded, s.answers
+                )
+                .unwrap();
+            }
+        }
+    }
+    let path = golden_path("eval_stats");
+    if bless {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &out).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
+    assert_eq!(
+        out, want,
+        "kernel work counters diverged from the blessed snapshot \
+         (UPDATE_GOLDEN=1 to regenerate after an intentional change)"
+    );
 }
 
 /// One blessed **batched** run: the path-vector scenario driven through a

@@ -83,13 +83,37 @@ fn program_src(edges: &[(u32, u32)], use_neg: bool) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Semi-naive and naive evaluation agree on random programs.
+    /// Semi-naive and naive evaluation agree on random programs, on a
+    /// non-linear variant (its non-delta `p` atoms probe indexes that must
+    /// grow with every absorbed delta), and on the path-vector
+    /// program over random 6-node topologies, whose assignments, builtin
+    /// comparison, `min` aggregate and join stratum put the planned,
+    /// indexed kernel's placement of non-atom literals against the
+    /// unindexed source-order reference.
     #[test]
-    fn seminaive_equals_naive(edges in prop::collection::vec(arb_edge(), 0..12), neg in any::<bool>()) {
+    fn seminaive_equals_naive(
+        edges in prop::collection::vec(arb_edge(), 0..12),
+        neg in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
         let src = program_src(&edges, neg);
-        let prog = ndlog::parse_program(&src).unwrap();
-        let ev = ndlog::Evaluator::new(&prog).unwrap();
-        let mut a = ev.base_database(&prog);
+        let nonlinear = src.replace("e(X,Z), p(Z,Y)", "p(X,Z), p(Z,Y)")
+            + "r4 s(X,Y) :- p(X,Y), p(Y,X).\n";
+        for src in [src, nonlinear] {
+            let prog = ndlog::parse_program(&src).unwrap();
+            let ev = ndlog::Evaluator::new(&prog).unwrap();
+            let mut a = ev.base_database(&prog);
+            let mut b = a.clone();
+            ev.run(&mut a).unwrap();
+            ev.run_naive(&mut b).unwrap();
+            prop_assert_eq!(a, b);
+        }
+
+        let topo = netsim::Topology::random_connected(6, 0.35, 3, seed);
+        let mut pv = ndlog::programs::path_vector();
+        ndlog::programs::add_links(&mut pv, &topo.edge_list());
+        let ev = ndlog::Evaluator::new(&pv).unwrap();
+        let mut a = ev.base_database(&pv);
         let mut b = a.clone();
         ev.run(&mut a).unwrap();
         ev.run_naive(&mut b).unwrap();

@@ -19,7 +19,7 @@
 
 use ndlog::incremental::TupleDelta;
 use ndlog::telemetry::Snapshot;
-use ndlog::{Program, Session, Update, Value};
+use ndlog::{Program, Query, Session, Update, Value};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -191,6 +191,46 @@ fn relation_size_gauges_track_the_database() {
                 snap.gauge(&format!("ndlog_relation_tuples{{rel=\"{pred}\"}}")),
                 Some(db.len_of(pred) as i64),
                 "gauge for {pred} is stale"
+            );
+        }
+    }
+}
+
+/// Queries time their two phases on both backends, but their firings
+/// stay in `QueryStats`: the engine's derivation and round counters, which
+/// the ledger and the determinism contract read, do not move.
+#[test]
+fn queries_record_phase_timers_but_not_engine_counters() {
+    let (_, prog, _) = scenarios().swap_remove(0);
+    let q = Query::on("bestPath")
+        .bind(Value::Addr(0))
+        .bind(Value::Addr(3))
+        .free()
+        .free();
+    for oracle in [false, true] {
+        let builder = Session::open(&prog).telemetry(true);
+        let session = if oracle {
+            builder.oracle()
+        } else {
+            builder.build()
+        }
+        .unwrap();
+        let before = session.metrics();
+        let got = session.query(&q).unwrap();
+        assert!(got.stats.derivations > 0 && got.stats.iterations > 0);
+        let after = session.metrics();
+        for family in ["ndlog_derivations_total", "ndlog_eval_rounds_total"] {
+            assert_eq!(
+                after.counter(family),
+                before.counter(family),
+                "{family} moved (oracle: {oracle})"
+            );
+        }
+        for phase in ["ndlog_phase_query_seed_ns", "ndlog_phase_query_eval_ns"] {
+            assert_eq!(
+                after.histogram(phase).map(|h| h.count),
+                Some(1),
+                "{phase} (oracle: {oracle})"
             );
         }
     }
